@@ -126,5 +126,5 @@ fn main() {
     }
 
     println!("\nExpected shape (paper): PQDist+SelK share grows with nprobe and K; IVFDist share grows with nlist.");
-    println!("Per-kernel rows: the SIMD kernels shrink the PQDist share, shifting the CPU bottleneck toward BuildLUT/SelK — the software analogue of the paper's motivation for specializing the scan in hardware.");
+    println!("Per-kernel rows: the SIMD scan kernels shrink the PQDist share; IVFDist and BuildLUT run on the vectorised distance kernels and stay small, so what grows is the selection stages (SelCells/SelK) — the software analogue of the paper's motivation for giving every stage its own PEs.");
 }

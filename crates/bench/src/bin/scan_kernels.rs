@@ -26,6 +26,14 @@
 //! hosts. The int8 first pass is reported on the same scale (its quantized
 //! table is built once per query, untimed, exactly as a serving query pays
 //! it once after BuildLUT).
+//!
+//! Each sweep point also prints one **prefix** row per distance-kernel tier
+//! (`fanns_quantize::distance`): coarse quantisation (`all_l2` over the
+//! `nlist` centroids) and the LUT build in microseconds per query, against
+//! a bin-local scalar reference — the single-accumulator loops both stages
+//! ran on before they were vectorised. They land in the `prefix_kernels`
+//! section of the baseline and are gated like the scan: each tier's best
+//! speedup, on both stages, must reach 4x (AVX2) / 2x (portable).
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -40,6 +48,7 @@ use fanns_ivf::search::{
     stage_build_lut, stage_ivf_dist, stage_opq, stage_scan_and_select_with, stage_sel_cells,
 };
 use fanns_ivf::simd::{avx2_available, int8, kernels, ScanKernel, ScanScratch, ALL_KERNELS};
+use fanns_quantize::distance::SimdTier;
 use fanns_quantize::pq::{DistanceTable, QuantizedLut};
 
 /// One sweep point, printed as a JSON row.
@@ -62,6 +71,23 @@ struct KernelRow {
     speedup_vs_scalar: f64,
     /// Fused scan+select (Stage PQDist + SelK) throughput, Mcodes/s.
     fused_mcodes_per_s: f64,
+}
+
+/// One distance-kernel tier at one sweep point, printed as a JSON row.
+#[derive(Debug, Serialize)]
+struct PrefixRow {
+    /// `scalar` (the bin-local reference), `portable` or `avx2`.
+    tier: String,
+    m: usize,
+    nlist: usize,
+    queries: usize,
+    reps: usize,
+    /// Stage IVFDist: all `nlist` centroid distances, microseconds per query.
+    coarse_us: f64,
+    /// Stage BuildLUT: the `m x ksub` table, microseconds per query.
+    lut_us: f64,
+    coarse_speedup_vs_scalar: f64,
+    lut_speedup_vs_scalar: f64,
 }
 
 /// Precomputed per-query scan inputs (everything upstream of PQDist).
@@ -197,6 +223,84 @@ fn time_fused(
     best
 }
 
+/// The loop both prefix stages ran on before they were vectorised.
+fn scalar_l2(a: &[f32], b: &[f32]) -> f32 {
+    let mut acc = 0.0f32;
+    for i in 0..a.len() {
+        let d = a[i] - b[i];
+        acc += d * d;
+    }
+    acc
+}
+
+/// Minimum seconds of one `pass` over `reps` timed passes, after a warm-up.
+fn min_pass_secs(reps: usize, mut pass: impl FnMut()) -> f64 {
+    pass();
+    (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            pass();
+            start.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Microseconds per query of (coarse quantisation, LUT build) on `tier`, or
+/// on the scalar reference for `None`.
+fn time_prefix(
+    index: &IvfPqIndex,
+    rotated: &[Vec<f32>],
+    tier: Option<SimdTier>,
+    reps: usize,
+) -> (f64, f64) {
+    let (dim, pq) = (index.dim(), index.pq());
+    let centroids = index.coarse().centroids();
+    let mut dists = Vec::new();
+    let coarse = min_pass_secs(reps, || {
+        for q in rotated {
+            match tier {
+                Some(tier) => tier.all_l2(q, centroids, dim, &mut dists),
+                None => {
+                    dists.clear();
+                    dists.extend(centroids.chunks_exact(dim).map(|c| scalar_l2(q, c)));
+                }
+            }
+            std::hint::black_box(&dists);
+        }
+    });
+    let mut lut = DistanceTable::default();
+    let mut table = Vec::new();
+    let build = min_pass_secs(reps, || {
+        for q in rotated {
+            match tier {
+                Some(tier) => {
+                    pq.build_distance_table_into(tier, q, &mut lut);
+                    std::hint::black_box(&lut);
+                }
+                None => {
+                    table.clear();
+                    for (j, sub) in q.chunks_exact(pq.dsub()).enumerate() {
+                        let book = pq.codebook(j).chunks_exact(pq.dsub());
+                        table.extend(book.map(|cent| scalar_l2(sub, cent)));
+                    }
+                    std::hint::black_box(&table);
+                }
+            }
+        }
+    });
+    let per_query_us = 1e6 / rotated.len() as f64;
+    (coarse * per_query_us, build * per_query_us)
+}
+
+/// The speedup gate: `FANNS_SCAN_GATE` when set, else `default_gate`.
+fn gate_from_env(default_gate: f64) -> f64 {
+    std::env::var("FANNS_SCAN_GATE")
+        .ok()
+        .and_then(|raw| raw.parse::<f64>().ok())
+        .filter(|g| g.is_finite() && *g >= 0.0)
+        .unwrap_or(default_gate)
+}
+
 fn main() {
     let scale = Scale::from_env();
     let workload = sift_workload(scale);
@@ -225,6 +329,9 @@ fn main() {
 
     let mut canonical: BTreeMap<String, f64> = BTreeMap::new();
     let mut best_f32_speedup = 0.0f64;
+    let mut prefix_metrics: BTreeMap<String, f64> = BTreeMap::new();
+    // Per tier, the best (coarse, LUT) speedup over the sweep.
+    let mut best_prefix_speedup: BTreeMap<&'static str, (f64, f64)> = BTreeMap::new();
     for &m in &[8usize, 16] {
         for &nlist in &nlists {
             let cfg = IvfPqTrainConfig::new(nlist)
@@ -280,28 +387,81 @@ fn main() {
                 canonical.insert(format!("{key}_speedup"), row.speedup_vs_scalar);
                 canonical.insert(format!("{key}_fused_mcodes_per_s"), row.fused_mcodes_per_s);
             }
+
+            let rotated: Vec<Vec<f32>> = (0..workload.queries.len())
+                .map(|q| stage_opq(&index, workload.queries.get(q)))
+                .collect();
+            let (scalar_coarse_us, scalar_lut_us) = time_prefix(&index, &rotated, None, reps);
+            for tier in [None, Some(SimdTier::Portable), Some(SimdTier::Avx2)] {
+                if tier == Some(SimdTier::Avx2) && !avx2_available() {
+                    continue;
+                }
+                let (coarse_us, lut_us) = match tier {
+                    None => (scalar_coarse_us, scalar_lut_us),
+                    Some(_) => time_prefix(&index, &rotated, tier, reps),
+                };
+                let row = PrefixRow {
+                    tier: tier.map_or("scalar", |t| t.name()).to_string(),
+                    m,
+                    nlist,
+                    queries: rotated.len(),
+                    reps,
+                    coarse_us,
+                    lut_us,
+                    coarse_speedup_vs_scalar: scalar_coarse_us / coarse_us.max(1e-9),
+                    lut_speedup_vs_scalar: scalar_lut_us / lut_us.max(1e-9),
+                };
+                println!(
+                    "{}",
+                    serde_json::to_string(&row).expect("prefix row serialises")
+                );
+                let key = format!("m{m}_nlist{nlist}_{}", row.tier);
+                prefix_metrics.insert(format!("{key}_coarse_us"), row.coarse_us);
+                prefix_metrics.insert(format!("{key}_lut_us"), row.lut_us);
+                if let Some(tier) = tier {
+                    let speedups = (row.coarse_speedup_vs_scalar, row.lut_speedup_vs_scalar);
+                    prefix_metrics.insert(format!("{key}_coarse_speedup"), speedups.0);
+                    prefix_metrics.insert(format!("{key}_lut_speedup"), speedups.1);
+                    let best = best_prefix_speedup.entry(tier.name()).or_insert((0.0, 0.0));
+                    *best = (best.0.max(speedups.0), best.1.max(speedups.1));
+                }
+            }
         }
     }
 
     let out = baseline::update_section(&baseline::bench_out_path(), "scan_kernels", &canonical);
+    baseline::update_section(&out, "prefix_kernels", &prefix_metrics);
     eprintln!(
-        "scan_kernels: wrote {} metrics to {}",
+        "scan_kernels: wrote {} scan and {} prefix metrics to {}",
         canonical.len(),
+        prefix_metrics.len(),
         out.display()
     );
 
     // The tentpole acceptance gate: vectorized f32 scan must beat the scalar
     // reference by 4x with AVX2 (1.5x portable-only). Loose enough to
     // tolerate host noise, tight enough to catch a data-plane collapse.
-    let default_gate = if avx2_available() { 4.0 } else { 1.5 };
-    let gate = std::env::var("FANNS_SCAN_GATE")
-        .ok()
-        .and_then(|raw| raw.parse::<f64>().ok())
-        .filter(|g| g.is_finite() && *g >= 0.0)
-        .unwrap_or(default_gate);
+    let gate = gate_from_env(if avx2_available() { 4.0 } else { 1.5 });
     println!("best f32 SIMD scan speedup vs scalar: {best_f32_speedup:.2}x (gate: >={gate:.2}x)");
     assert!(
         best_f32_speedup >= gate,
         "f32 SIMD scan speedup {best_f32_speedup:.2}x under the {gate:.2}x gate"
     );
+
+    // The prefix gate: each distance-kernel tier must beat the scalar loops
+    // on both stages, 4x with AVX2 and 2x on the portable lanes.
+    for (tier, (coarse, lut)) in best_prefix_speedup {
+        let gate = gate_from_env(if tier == SimdTier::Avx2.name() {
+            4.0
+        } else {
+            2.0
+        });
+        println!(
+            "best {tier} prefix speedup vs scalar: coarse {coarse:.2}x, LUT {lut:.2}x (gate: >={gate:.2}x)"
+        );
+        assert!(
+            coarse.min(lut) >= gate,
+            "{tier} prefix speedup (coarse {coarse:.2}x, LUT {lut:.2}x) under the {gate:.2}x gate"
+        );
+    }
 }

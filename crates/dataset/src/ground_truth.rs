@@ -60,17 +60,10 @@ impl GroundTruth {
     }
 }
 
-/// Squared Euclidean distance between two equal-length slices.
-#[inline]
-pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = 0.0f32;
-    for i in 0..a.len() {
-        let d = a[i] - b[i];
-        acc += d * d;
-    }
-    acc
-}
+/// Squared Euclidean distance between two equal-length slices: the
+/// workspace's one distance kernel, so exact search and ground truth round
+/// exactly like every other layer.
+pub use fanns_quantize::distance::l2_sq;
 
 /// A (distance, id) pair ordered so that a `BinaryHeap` keeps the *largest*
 /// distance at the top, turning it into a fixed-size top-K structure.

@@ -99,6 +99,17 @@ pub struct TopK {
     heap: Vec<(f32, u32)>,
 }
 
+impl Default for TopK {
+    /// An empty top-1 collector that owns no buffer yet.
+    fn default() -> Self {
+        Self {
+            k: 1,
+            threshold: f32::INFINITY,
+            heap: Vec::new(),
+        }
+    }
+}
+
 impl TopK {
     /// Creates an empty top-K collector.
     pub fn new(k: usize) -> Self {
@@ -107,6 +118,14 @@ impl TopK {
             threshold: f32::INFINITY,
             heap: Vec::with_capacity(k.max(1)),
         }
+    }
+
+    /// Empties the collector and re-arms it for the best `k`, keeping its
+    /// buffer.
+    pub fn reset(&mut self, k: usize) {
+        self.k = k.max(1);
+        self.threshold = f32::INFINITY;
+        self.heap.clear();
     }
 
     /// Number of elements currently held (≤ k).
@@ -183,26 +202,41 @@ impl TopK {
         }
     }
 
-    /// Drains the collector into results sorted by increasing distance
-    /// (ties broken by id for determinism).
-    pub fn into_sorted(self) -> Vec<SearchResult> {
-        let mut v: Vec<SearchResult> = self
-            .heap
-            .into_iter()
-            .map(|(distance, id)| SearchResult { id, distance })
-            .collect();
+    /// Sorts the kept pairs in place by increasing distance (ties broken by
+    /// id for determinism), without allocating. The heap order is gone
+    /// afterwards: [`TopK::reset`] before pushing again.
+    fn sort(&mut self) {
         // total_cmp keeps the order total even if a NaN distance slips in
         // (NaN sorts last instead of silently corrupting the comparator).
-        v.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
-        v
+        self.heap
+            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    }
+
+    /// Drains the collector into results sorted by increasing distance
+    /// (ties broken by id for determinism).
+    pub fn into_sorted(mut self) -> Vec<SearchResult> {
+        self.sort();
+        self.heap
+            .into_iter()
+            .map(|(distance, id)| SearchResult { id, distance })
+            .collect()
     }
 }
 
 /// Stage OPQ: rotate the query if the index was trained with OPQ.
 pub fn stage_opq<S: IvfSource + ?Sized>(index: &S, query: &[f32]) -> Vec<f32> {
+    let mut rotated = Vec::new();
+    opq_into(index, query, &mut rotated);
+    rotated
+}
+
+fn opq_into<S: IvfSource + ?Sized>(index: &S, query: &[f32], rotated: &mut Vec<f32>) {
     match index.opq() {
-        Some(t) => t.apply(query),
-        None => query.to_vec(),
+        Some(t) => t.apply_into(query, rotated),
+        None => {
+            rotated.clear();
+            rotated.extend_from_slice(query);
+        }
     }
 }
 
@@ -215,34 +249,121 @@ pub fn stage_ivf_dist<S: IvfSource + ?Sized>(index: &S, query: &[f32]) -> Vec<f3
 
 /// Stage SelCells: indices of the `nprobe` closest cells.
 pub fn stage_sel_cells(centroid_dists: &[f32], nprobe: usize) -> Vec<usize> {
-    let nprobe = nprobe.min(centroid_dists.len()).max(1);
-    let mut topk = TopK::new(nprobe);
+    let nprobe = nprobe.min(centroid_dists.len());
+    let mut cells = Vec::new();
+    sel_cells_into(centroid_dists, nprobe, &mut TopK::new(nprobe), &mut cells);
+    cells
+}
+
+fn sel_cells_into(
+    centroid_dists: &[f32],
+    nprobe: usize,
+    select: &mut TopK,
+    cells: &mut Vec<usize>,
+) {
+    select.reset(nprobe.min(centroid_dists.len()));
     for (i, &d) in centroid_dists.iter().enumerate() {
-        topk.push(d, i as u32);
+        select.push(d, i as u32);
     }
-    topk.into_sorted()
-        .into_iter()
-        .map(|r| r.id as usize)
-        .collect()
+    select.sort();
+    cells.clear();
+    cells.extend(select.heap.iter().map(|&(_, cell)| cell as usize));
 }
 
 /// Stage BuildLUT: the per-query asymmetric-distance lookup table.
 pub fn stage_build_lut<S: IvfSource + ?Sized>(index: &S, query: &[f32]) -> DistanceTable {
-    index.build_lut(query)
+    index.pq().build_distance_table(query)
+}
+
+/// The query prefix — stages OPQ, IVFDist, SelCells and BuildLUT, everything
+/// a query needs before the scan — and the buffers it writes into. Reusing
+/// one `QueryPrefix` across queries makes the prefix allocation-free once
+/// the buffers have reached the index's shape.
+///
+/// This is the only place the four stages are sequenced; the `stage_*`
+/// functions above are allocating single-stage wrappers over the same
+/// pieces.
+#[derive(Debug, Clone, Default)]
+pub struct QueryPrefix {
+    rotated: Vec<f32>,
+    centroid_dists: Vec<f32>,
+    select: TopK,
+    cells: Vec<usize>,
+    lut: DistanceTable,
+}
+
+impl QueryPrefix {
+    /// Runs the four prefix stages for `query` on `kernel`'s distance tier
+    /// (see [`ScanKernel::distance_tier`]; every tier computes the same
+    /// bits). `stage_done` is called as each stage finishes, in order
+    /// (`Opq`, `IvfDist`, `SelCells`, `BuildLut`), so a caller can timestamp
+    /// the boundaries; pass `|_| {}` to observe nothing.
+    pub fn compute<S: IvfSource + ?Sized>(
+        &mut self,
+        index: &S,
+        query: &[f32],
+        nprobe: usize,
+        kernel: ScanKernel,
+        mut stage_done: impl FnMut(SearchStage),
+    ) {
+        let tier = kernel.distance_tier();
+        opq_into(index, query, &mut self.rotated);
+        stage_done(SearchStage::Opq);
+        tier.all_l2(
+            &self.rotated,
+            index.centroids(),
+            index.dim(),
+            &mut self.centroid_dists,
+        );
+        stage_done(SearchStage::IvfDist);
+        sel_cells_into(
+            &self.centroid_dists,
+            nprobe,
+            &mut self.select,
+            &mut self.cells,
+        );
+        stage_done(SearchStage::SelCells);
+        index
+            .pq()
+            .build_distance_table_into(tier, &self.rotated, &mut self.lut);
+        stage_done(SearchStage::BuildLut);
+    }
+
+    /// The probed cells of the last [`QueryPrefix::compute`], nearest first.
+    pub fn cells(&self) -> &[usize] {
+        &self.cells
+    }
+
+    /// The lookup table of the last [`QueryPrefix::compute`].
+    pub fn lut(&self) -> &DistanceTable {
+        &self.lut
+    }
+
+    /// Bytes of buffer capacity held (constant once warmed up on an index).
+    pub fn capacity_bytes(&self) -> usize {
+        4 * (self.rotated.capacity() + self.centroid_dists.capacity())
+            + self.lut.nbytes()
+            + 8 * (self.select.heap.capacity() + self.cells.capacity())
+    }
 }
 
 std::thread_local! {
-    // Per-thread kernel scratch for the entry points that keep the original
+    // Per-thread scratch for the entry points that keep the original
     // scratch-less signatures: each engine/rayon worker reuses its buffers
     // across queries instead of allocating per call.
     static SCAN_SCRATCH: std::cell::RefCell<ScanScratch> =
         std::cell::RefCell::new(ScanScratch::new());
 }
 
+/// Runs `f` with this thread's reusable scratch.
+pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut ScanScratch) -> R) -> R {
+    SCAN_SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
+}
+
 /// Stages PQDist + SelK fused: scan the selected cells, computing ADC
 /// distances and keeping the best `k`. The two stages are fused here for
-/// cache efficiency (as Faiss does); [`search_with_timings`] still reports
-/// them separately by running PQDist into a buffer first.
+/// cache efficiency (as Faiss does); [`search_with_timings_kernel`] still
+/// reports them separately by running PQDist into a buffer first.
 ///
 /// Executes on the process-default kernel ([`simd::default_kernel`]):
 /// the AVX2 slab kernel when the host supports it, the portable chunked
@@ -254,15 +375,8 @@ pub fn stage_scan_and_select<S: IvfSource + ?Sized>(
     lut: &DistanceTable,
     k: usize,
 ) -> Vec<SearchResult> {
-    SCAN_SCRATCH.with(|scratch| {
-        stage_scan_and_select_with(
-            index,
-            cells,
-            lut,
-            k,
-            simd::default_kernel(),
-            &mut scratch.borrow_mut(),
-        )
+    with_thread_scratch(|scratch| {
+        stage_scan_and_select_with(index, cells, lut, k, simd::default_kernel(), scratch)
     })
 }
 
@@ -304,29 +418,14 @@ pub fn stage_pq_dist<S: IvfSource + ?Sized>(
     cells: &[usize],
     lut: &DistanceTable,
 ) -> Vec<(u32, f32)> {
-    let mut out = Vec::new();
-    stage_pq_dist_into(index, cells, lut, &mut out);
-    out
-}
-
-/// [`stage_pq_dist`] into a caller-owned buffer (cleared, then filled in
-/// scan order). Reusing one buffer across queries removes the per-call
-/// `Vec` growth from the instrumented pipeline.
-pub fn stage_pq_dist_into<S: IvfSource + ?Sized>(
-    index: &S,
-    cells: &[usize],
-    lut: &DistanceTable,
-    out: &mut Vec<(u32, f32)>,
-) {
     let m = index.m();
-    out.clear();
+    let mut out = Vec::new();
     for &cell in cells {
-        let ids = index.list_ids(cell);
-        out.reserve(ids.len());
-        for (slot, code) in index.list_codes(cell).chunks_exact(m).enumerate() {
-            out.push((ids[slot], lut.adc(code)));
-        }
+        let codes = index.list_codes(cell).chunks_exact(m);
+        let ids = index.list_ids(cell).iter();
+        out.extend(ids.zip(codes).map(|(&id, code)| (id, lut.adc(code))));
     }
+    out
 }
 
 /// Stage SelK alone: select the `k` best candidates from the PQDist output.
@@ -346,11 +445,9 @@ pub fn search<S: IvfSource + ?Sized>(
     k: usize,
     nprobe: usize,
 ) -> Vec<SearchResult> {
-    let rotated = stage_opq(index, query);
-    let dists = stage_ivf_dist(index, &rotated);
-    let cells = stage_sel_cells(&dists, nprobe);
-    let lut = stage_build_lut(index, &rotated);
-    stage_scan_and_select(index, &cells, &lut, k)
+    with_thread_scratch(|scratch| {
+        search_with_kernel(index, query, k, nprobe, simd::default_kernel(), scratch)
+    })
 }
 
 /// [`search`] with an explicit scan kernel and caller-owned scratch (the
@@ -363,40 +460,17 @@ pub fn search_with_kernel<S: IvfSource + ?Sized>(
     kernel: ScanKernel,
     scratch: &mut ScanScratch,
 ) -> Vec<SearchResult> {
-    let rotated = stage_opq(index, query);
-    let dists = stage_ivf_dist(index, &rotated);
-    let cells = stage_sel_cells(&dists, nprobe);
-    let lut = stage_build_lut(index, &rotated);
-    stage_scan_and_select_with(index, &cells, &lut, k, kernel, scratch)
-}
-
-/// Runs a full query keeping the stages separate and timing each one.
-/// Slightly slower than [`search`] (PQDist materialises its candidate list)
-/// but returns identical results; used for the Figure 3 breakdowns.
-pub fn search_with_timings<S: IvfSource + ?Sized>(
-    index: &S,
-    query: &[f32],
-    k: usize,
-    nprobe: usize,
-    timings: &mut StageTimings,
-) -> Vec<SearchResult> {
-    SCAN_SCRATCH.with(|scratch| {
-        search_with_timings_kernel(
-            index,
-            query,
-            k,
-            nprobe,
-            simd::default_kernel(),
-            timings,
-            &mut scratch.borrow_mut(),
-        )
+    scratch.with_prefix(|prefix, scratch| {
+        prefix.compute(index, query, nprobe, kernel, |_| {});
+        stage_scan_and_select_with(index, prefix.cells(), prefix.lut(), k, kernel, scratch)
     })
 }
 
-/// [`search_with_timings`] with an explicit scan kernel — the measurement
-/// behind the per-kernel Figure 3 breakdown. Stage PQDist runs the chosen
-/// kernel into the scratch's reused candidate buffer (no per-query `Vec`
-/// growth); SelK selects from that buffer as before.
+/// Runs a full query keeping the stages separate and timing each one —
+/// the measurement behind the per-kernel Figure 3 breakdown. Slightly slower
+/// than [`search_with_kernel`] but returns identical results: Stage PQDist
+/// runs the chosen kernel into the scratch's reused candidate buffer (no
+/// per-query `Vec` growth) and SelK selects from that buffer.
 pub fn search_with_timings_kernel<S: IvfSource + ?Sized>(
     index: &S,
     query: &[f32],
@@ -406,53 +480,45 @@ pub fn search_with_timings_kernel<S: IvfSource + ?Sized>(
     timings: &mut StageTimings,
     scratch: &mut ScanScratch,
 ) -> Vec<SearchResult> {
-    let t0 = Instant::now();
-    let rotated = stage_opq(index, query);
-    let t1 = Instant::now();
-    timings.record(SearchStage::Opq, t1 - t0);
+    scratch.with_prefix(|prefix, scratch| {
+        let mut last = Instant::now();
+        let mut lap = |stage: SearchStage| {
+            let now = Instant::now();
+            timings.record(stage, now - last);
+            last = now;
+        };
+        prefix.compute(index, query, nprobe, kernel, &mut lap);
+        let (cells, lut) = (prefix.cells(), prefix.lut());
 
-    let dists = stage_ivf_dist(index, &rotated);
-    let t2 = Instant::now();
-    timings.record(SearchStage::IvfDist, t2 - t1);
+        simd::scan_pairs(index, cells, lut, kernel, scratch);
+        lap(SearchStage::PqDist);
 
-    let cells = stage_sel_cells(&dists, nprobe);
-    let t3 = Instant::now();
-    timings.record(SearchStage::SelCells, t3 - t2);
-
-    let lut = stage_build_lut(index, &rotated);
-    let t4 = Instant::now();
-    timings.record(SearchStage::BuildLut, t4 - t3);
-
-    simd::scan_pairs(index, &cells, &lut, kernel, scratch);
-    let t5 = Instant::now();
-    timings.record(SearchStage::PqDist, t5 - t4);
-
-    let results = match kernel {
-        // The int8 split path carries first-pass distances; re-rank the
-        // top candidates exactly as the fused path does so results match.
-        ScanKernel::Int8 => {
-            let mut approx = TopK::new(simd::rerank_depth(k));
-            for &(id, d) in scratch.pairs() {
-                approx.push(d, id);
-            }
-            let survivors: std::collections::HashSet<u32> =
-                approx.into_sorted().into_iter().map(|r| r.id).collect();
-            let exact = stage_pq_dist(index, &cells, &lut);
-            let mut topk = TopK::new(k);
-            for (id, d) in exact {
-                if survivors.contains(&id) {
-                    topk.push(d, id);
+        let results = match kernel {
+            // The int8 split path carries first-pass distances; re-rank the
+            // top candidates exactly as the fused path does so results match.
+            ScanKernel::Int8 => {
+                let mut approx = TopK::new(simd::rerank_depth(k));
+                for &(id, d) in scratch.pairs() {
+                    approx.push(d, id);
                 }
+                let survivors: std::collections::HashSet<u32> =
+                    approx.into_sorted().into_iter().map(|r| r.id).collect();
+                let exact = stage_pq_dist(index, cells, lut);
+                let mut topk = TopK::new(k);
+                for (id, d) in exact {
+                    if survivors.contains(&id) {
+                        topk.push(d, id);
+                    }
+                }
+                topk.into_sorted()
             }
-            topk.into_sorted()
-        }
-        _ => stage_sel_k(scratch.pairs(), k),
-    };
-    let t6 = Instant::now();
-    timings.record(SearchStage::SelK, t6 - t5);
+            _ => stage_sel_k(scratch.pairs(), k),
+        };
+        lap(SearchStage::SelK);
 
-    timings.queries += 1;
-    results
+        timings.queries += 1;
+        results
+    })
 }
 
 #[cfg(test)]
@@ -476,6 +542,17 @@ mod tests {
             .with_seed(3);
         let index = IvfPqIndex::build(&db, &cfg);
         (db, queries, index)
+    }
+
+    fn timed_search(
+        index: &IvfPqIndex,
+        query: &[f32],
+        k: usize,
+        nprobe: usize,
+        timings: &mut StageTimings,
+    ) -> Vec<SearchResult> {
+        let (kernel, mut scratch) = (simd::default_kernel(), ScanScratch::new());
+        search_with_timings_kernel(index, query, k, nprobe, kernel, timings, &mut scratch)
     }
 
     #[test]
@@ -513,7 +590,7 @@ mod tests {
         for q in 0..4 {
             let fused = search(&index, queries.get(q), 10, 4);
             let mut timings = StageTimings::default();
-            let split = search_with_timings(&index, queries.get(q), 10, 4, &mut timings);
+            let split = timed_search(&index, queries.get(q), 10, 4, &mut timings);
             assert_eq!(fused, split);
             assert_eq!(timings.queries, 1);
             assert!(timings.total() > Duration::ZERO);
@@ -576,7 +653,7 @@ mod tests {
         let (_, queries, index) = build_small();
         let mut timings = StageTimings::default();
         for q in 0..8 {
-            let _ = search_with_timings(&index, queries.get(q), 10, 8, &mut timings);
+            let _ = timed_search(&index, queries.get(q), 10, 8, &mut timings);
         }
         let fractions = timings.fractions();
         let sum: f64 = fractions.iter().sum();

@@ -80,8 +80,7 @@ pub struct SegmentedConfig {
     /// are reclaimed).
     pub tombstone_ratio: f64,
     /// Sealed-segment count above which compaction is advised regardless of
-    /// churn (each extra segment adds one coarse-quantizer pass + scan
-    /// fan-out to every query).
+    /// churn (each extra segment adds one scan fan-out to every query).
     pub max_sealed_segments: usize,
 }
 
@@ -446,8 +445,9 @@ impl SegmentedIndex {
     /// Top-`k` search across every segment on the process-default scan
     /// kernel (see [`default_kernel`]).
     pub fn search(&self, query: &[f32], k: usize, nprobe: usize) -> Vec<SearchResult> {
-        let mut scratch = ScanScratch::new();
-        self.search_with_kernel(query, k, nprobe, default_kernel(), &mut scratch)
+        search::with_thread_scratch(|scratch| {
+            self.search_with_kernel(query, k, nprobe, default_kernel(), scratch)
+        })
     }
 
     /// Top-`k` search across every segment with an explicit kernel and
@@ -456,6 +456,11 @@ impl SegmentedIndex {
     /// tombstoned candidates are filtered before the final merge. Sealed
     /// segments are over-fetched by the pending-tombstone count so the
     /// filter can never starve the merged top-`k` of live candidates.
+    ///
+    /// The query prefix (OPQ, coarse distances, probed cells, lookup table)
+    /// depends only on the quantizers every sealed segment shares with the
+    /// template, so it is computed once on the template and each segment is
+    /// only scanned.
     pub fn search_with_kernel(
         &self,
         query: &[f32],
@@ -467,12 +472,20 @@ impl SegmentedIndex {
         let state = self.state.read().expect("segment state lock");
         let fetch = k.saturating_add(state.pending_tombstones);
         let mut merged = TopK::new(k);
-        for seg in &state.sealed {
-            for hit in search::search_with_kernel(seg, query, fetch, nprobe, kernel, scratch) {
-                if !state.deleted.is_deleted(hit.id) {
-                    merged.push(hit.distance, hit.id);
+        if !state.sealed.is_empty() {
+            scratch.with_prefix(|prefix, scratch| {
+                prefix.compute(&self.template, query, nprobe, kernel, |_| {});
+                let (cells, lut) = (prefix.cells(), prefix.lut());
+                for seg in &state.sealed {
+                    for hit in
+                        search::stage_scan_and_select_with(seg, cells, lut, fetch, kernel, scratch)
+                    {
+                        if !state.deleted.is_deleted(hit.id) {
+                            merged.push(hit.distance, hit.id);
+                        }
+                    }
                 }
-            }
+            });
         }
         for (slot, &id) in state.write_ids.iter().enumerate() {
             if !state.deleted.is_deleted(id) {
@@ -578,9 +591,11 @@ impl SegmentedIndex {
                 None => raw,
             };
             let (cell, _) = self.template.coarse().assign(v);
-            let code = self.template.pq().encode(v);
-            lists[cell].ids.push(id);
-            lists[cell].codes.extend_from_slice(&code);
+            let list = &mut lists[cell];
+            list.ids.push(id);
+            let at = list.codes.len();
+            list.codes.resize(at + m, 0);
+            self.template.pq().encode_into(v, &mut list.codes[at..]);
             sealed_from_write += 1;
         }
         let ntotal = lists.iter().map(|l| l.len()).sum();

@@ -16,7 +16,7 @@
 
 use fanns_quantize::pq::QuantizedLut;
 
-use super::kernels::avx2_available;
+use super::avx2_available;
 use super::slab::{CodeSlab, BLOCK};
 
 /// Computes per-code quantized entry sums for the whole slab into `out`

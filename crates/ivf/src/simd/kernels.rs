@@ -19,6 +19,7 @@
 //! portable and AVX2 kernels (f32 addition is deterministic for a fixed
 //! order — only the grouping across *codes* changes, never within one).
 
+use fanns_quantize::dispatch::avx2_available;
 use fanns_quantize::pq::DistanceTable;
 
 use super::slab::{CodeSlab, BLOCK};
@@ -48,18 +49,6 @@ pub fn scan_f32_portable(slab: &CodeSlab, lut: &DistanceTable, out: &mut [f32]) 
             }
         }
         out[block * BLOCK..(block + 1) * BLOCK].copy_from_slice(&acc);
-    }
-}
-
-/// Whether the AVX2 kernel can run on this host.
-pub fn avx2_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
     }
 }
 

@@ -19,14 +19,15 @@ pub mod int8;
 pub mod kernels;
 pub mod slab;
 
-pub use kernels::avx2_available;
+pub use fanns_quantize::dispatch::avx2_available;
 pub use slab::{CodeSlab, BLOCK, SLAB_ALIGN};
 
 use std::sync::OnceLock;
 
+use fanns_quantize::dispatch::{kernel_override, SimdTier};
 use fanns_quantize::pq::DistanceTable;
 
-use crate::search::{SearchResult, TopK};
+use crate::search::{QueryPrefix, SearchResult, TopK};
 use crate::source::IvfSource;
 
 /// Which ADC scan implementation executes Stage PQDist/SelK.
@@ -89,6 +90,16 @@ impl ScanKernel {
             _ => None,
         }
     }
+
+    /// The tier of the distance kernels (coarse quantisation, LUT build)
+    /// that goes with this scan kernel: the portable tier beside the two
+    /// non-SIMD scan kernels, the best the host has beside the others.
+    pub fn distance_tier(&self) -> SimdTier {
+        match self {
+            ScanKernel::Scalar | ScanKernel::Portable => SimdTier::Portable,
+            ScanKernel::Avx2 | ScanKernel::Int8 => SimdTier::best_available(),
+        }
+    }
 }
 
 impl std::fmt::Display for ScanKernel {
@@ -110,14 +121,15 @@ pub fn auto_kernel() -> ScanKernel {
 
 /// The process-wide default kernel: `FANNS_SCAN_KERNEL` when set to a known
 /// name (`scalar` | `portable` | `avx2` | `int8`; an unavailable `avx2`
-/// demotes to `portable`), else [`auto_kernel`]. Read once and cached — the
-/// serving path must not pay a `getenv` per query.
+/// demotes to `portable`), else [`auto_kernel`]. The variable is read (once
+/// per process) and the CPU probed in [`fanns_quantize::dispatch`], the same
+/// site the distance kernels dispatch from, so the two kernel families
+/// always agree; [`ScanKernel::distance_tier`] of this kernel is
+/// [`SimdTier::process_default`].
 pub fn default_kernel() -> ScanKernel {
     static DEFAULT: OnceLock<ScanKernel> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
-        let requested = std::env::var("FANNS_SCAN_KERNEL")
-            .ok()
-            .and_then(|raw| ScanKernel::from_name(&raw));
+        let requested = kernel_override().and_then(ScanKernel::from_name);
         match requested {
             Some(kernel) if kernel.is_available() => kernel,
             Some(_) => ScanKernel::Portable,
@@ -135,12 +147,15 @@ pub fn rerank_depth(k: usize) -> usize {
     (4 * k).max(k + 32)
 }
 
-/// Reusable per-thread scratch for the scan kernels: distance/sum buffers
-/// sized to the largest probed cell and the int8 candidate list. One
-/// instance per searcher thread removes every per-query allocation from the
-/// scan stage.
+/// Reusable per-thread scratch for a query: the prefix buffers (rotated
+/// query, centroid distances, probed cells, lookup table) and the scan
+/// kernels' distance/sum buffers sized to the largest probed cell plus the
+/// int8 candidate list. One instance per searcher thread removes every
+/// per-query allocation from the pipeline except the returned result list.
 #[derive(Debug, Default, Clone)]
 pub struct ScanScratch {
+    /// Output buffers of the query prefix.
+    prefix: QueryPrefix,
     /// f32 distances per code, padded to whole blocks.
     dists: Vec<f32>,
     /// int8 entry sums per code, padded to whole blocks.
@@ -162,6 +177,25 @@ impl ScanScratch {
     /// The (id, distance) candidate buffer of the last split-stage scan.
     pub fn pairs(&self) -> &[(u32, f32)] {
         &self.pairs
+    }
+
+    /// Runs `f` with the prefix buffers split off from the rest of the
+    /// scratch, so a scan can read the prefix's cells and lookup table while
+    /// it writes the scan buffers.
+    pub fn with_prefix<R>(&mut self, f: impl FnOnce(&mut QueryPrefix, &mut Self) -> R) -> R {
+        let mut prefix = std::mem::take(&mut self.prefix);
+        let out = f(&mut prefix, self);
+        self.prefix = prefix;
+        out
+    }
+
+    /// Bytes of buffer capacity held. Constant from the second query on for
+    /// a fixed index and `nprobe`: the steady state allocates nothing here.
+    pub fn capacity_bytes(&self) -> usize {
+        self.prefix.capacity_bytes()
+            + 4 * (self.dists.capacity() + self.sums.capacity())
+            + 8 * (self.cands.capacity() + self.pairs.capacity())
+            + self.code.capacity()
     }
 }
 
@@ -270,11 +304,11 @@ pub fn scan_pairs<S: IvfSource + ?Sized>(
         ScanKernel::Scalar => {
             let m = index.m();
             for &cell in cells {
-                let ids = index.list_ids(cell);
-                scratch.pairs.reserve(ids.len());
-                for (slot, code) in index.list_codes(cell).chunks_exact(m).enumerate() {
-                    scratch.pairs.push((ids[slot], lut.adc(code)));
-                }
+                let ids = index.list_ids(cell).iter();
+                let codes = index.list_codes(cell).chunks_exact(m);
+                scratch
+                    .pairs
+                    .extend(ids.zip(codes).map(|(&id, code)| (id, lut.adc(code))));
             }
         }
         ScanKernel::Portable | ScanKernel::Avx2 => {

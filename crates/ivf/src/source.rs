@@ -17,7 +17,7 @@
 //! bit-identical-results contract the storage test battery asserts.
 
 use fanns_quantize::opq::OpqTransform;
-use fanns_quantize::pq::DistanceTable;
+use fanns_quantize::pq::ProductQuantizer;
 
 use crate::index::IvfPqIndex;
 use crate::simd::CodeSlab;
@@ -48,8 +48,9 @@ pub trait IvfSource: Send + Sync {
     /// The coarse-quantizer centroid table, flat `nlist × dim` row-major.
     fn centroids(&self) -> &[f32];
 
-    /// Builds the per-query ADC lookup table (Stage BuildLUT).
-    fn build_lut(&self, query: &[f32]) -> DistanceTable;
+    /// The product quantizer (Stage BuildLUT builds the per-query ADC lookup
+    /// table from it).
+    fn pq(&self) -> &ProductQuantizer;
 
     /// Number of vectors in cell `cell`.
     fn list_len(&self, cell: usize) -> usize {
@@ -97,8 +98,8 @@ impl IvfSource for IvfPqIndex {
         self.coarse().centroids()
     }
 
-    fn build_lut(&self, query: &[f32]) -> DistanceTable {
-        self.pq().build_distance_table(query)
+    fn pq(&self) -> &ProductQuantizer {
+        IvfPqIndex::pq(self)
     }
 
     fn list_len(&self, cell: usize) -> usize {
@@ -149,8 +150,8 @@ impl<T: IvfSource + ?Sized> IvfSource for std::sync::Arc<T> {
         (**self).centroids()
     }
 
-    fn build_lut(&self, query: &[f32]) -> DistanceTable {
-        (**self).build_lut(query)
+    fn pq(&self) -> &ProductQuantizer {
+        (**self).pq()
     }
 
     fn list_len(&self, cell: usize) -> usize {

@@ -8,7 +8,7 @@
 //! rebuilt on the heap at open time, because the search arithmetic contract
 //! requires byte-identical behaviour with the heap index:
 //!
-//! * the [`ProductQuantizer`] (so `build_lut` runs exactly the same code as
+//! * the [`ProductQuantizer`] (so Stage BuildLUT runs exactly the same code as
 //!   the in-memory path — `dim × ksub` floats, a few hundred KiB at most),
 //! * the optional [`OpqTransform`].
 //!
@@ -41,7 +41,7 @@ use rayon::prelude::*;
 use fanns_quantize::kmeans::KMeans;
 use fanns_quantize::linalg::Matrix;
 use fanns_quantize::opq::OpqTransform;
-use fanns_quantize::pq::{DistanceTable, ProductQuantizer};
+use fanns_quantize::pq::ProductQuantizer;
 
 use crate::index::{InvertedList, IvfPqIndex, IvfPqTrainConfig};
 use crate::simd::CodeSlab;
@@ -61,6 +61,13 @@ mod sys {
 
     pub const PROT_READ: i32 = 1;
     pub const MAP_PRIVATE: i32 = 2;
+    #[cfg(target_os = "linux")]
+    pub const MADV_RANDOM: i32 = 1;
+    #[cfg(target_os = "linux")]
+    pub const MADV_DONTNEED: i32 = 4;
+    /// `_SC_PAGESIZE` on Linux (glibc and musl).
+    #[cfg(target_os = "linux")]
+    pub const SC_PAGESIZE: i32 = 30;
 
     // Self-declared prototypes (no libc crate in the build environment);
     // these match the POSIX ABI on every 64-bit unix we target.
@@ -74,6 +81,10 @@ mod sys {
             offset: i64,
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> i32;
+        #[cfg(target_os = "linux")]
+        pub fn madvise(addr: *mut c_void, len: usize, advice: i32) -> i32;
+        #[cfg(target_os = "linux")]
+        pub fn sysconf(name: i32) -> i64;
     }
 
     pub fn map_failed(ptr: *mut c_void) -> bool {
@@ -153,6 +164,41 @@ impl Mapping {
             #[cfg(not(unix))]
             Mapping::Heap(_) => false,
         }
+    }
+
+    /// Lets the kernel drop the resident pages that lie wholly inside
+    /// `range`, without unmapping them: the bytes stay readable, and a later
+    /// read faults them back in from the file. The range is first marked
+    /// `MADV_RANDOM` — true of whatever still reads it, and it makes the
+    /// range its own VMA, so faults on neighbouring sections (which map
+    /// whole page-cache folios, up to 2 MiB) cannot map it back in. Best
+    /// effort: a no-op off Linux or if the kernel refuses.
+    fn release_pages(&self, range: &ByteRange) {
+        #[cfg(target_os = "linux")]
+        {
+            let Mapping::Mmap { ptr, .. } = self;
+            // SAFETY: sysconf has no preconditions.
+            let page = unsafe { sys::sysconf(sys::SC_PAGESIZE) };
+            let Some(page) = usize::try_from(page).ok().filter(|&p| p > 0) else {
+                return;
+            };
+            let start = (*ptr as usize + range.start).next_multiple_of(page);
+            let end = (*ptr as usize + range.end) / page * page;
+            if start < end {
+                let addr = start as *mut std::ffi::c_void;
+                // SAFETY: `[start, end)` is page-aligned and inside the live
+                // mapping (`range` is a validated section of it). The
+                // mapping is read-only and file-backed, so dropping its
+                // pages loses nothing: the next read repopulates them with
+                // the same file bytes, and no reference is invalidated.
+                unsafe {
+                    sys::madvise(addr, end - start, sys::MADV_RANDOM);
+                    sys::madvise(addr, end - start, sys::MADV_DONTNEED);
+                }
+            }
+        }
+        #[cfg(not(target_os = "linux"))]
+        let _ = range;
     }
 
     #[cfg(unix)]
@@ -421,11 +467,18 @@ impl MappedIndex {
     /// Eagerly rebuilds the block-transposed scan slab of every inverted
     /// list (in parallel), so the first queries don't pay the lazy rebuild.
     /// Returns the total slab bytes materialised.
+    ///
+    /// Every scan then streams the slabs, so the mapped canonical codes —
+    /// all just read once — are released from residency: they stay readable
+    /// (`list_codes`, compaction, `to_owned_index` fault them back in), but
+    /// a warmed index no longer keeps two resident copies of its codes.
     pub fn warm(&self) -> usize {
-        (0..self.header.nlist)
+        let slab_bytes = (0..self.header.nlist)
             .into_par_iter()
             .map(|cell| IvfSource::slab(self, cell).nbytes())
-            .sum()
+            .sum();
+        self.mapping.release_pages(&self.codes);
+        slab_bytes
     }
 
     /// Copies the mapped data into a fully heap-owned [`IvfPqIndex`] —
@@ -480,8 +533,8 @@ impl IvfSource for MappedIndex {
         self.view::<f32>(&self.centroids)
     }
 
-    fn build_lut(&self, query: &[f32]) -> DistanceTable {
-        self.pq.build_distance_table(query)
+    fn pq(&self) -> &ProductQuantizer {
+        &self.pq
     }
 
     fn list_len(&self, cell: usize) -> usize {

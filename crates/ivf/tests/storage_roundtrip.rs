@@ -116,6 +116,11 @@ proptest! {
         let mapped = open_index(&path).expect("open");
         if seed % 2 == 0 {
             mapped.warm(); // exercise both lazy and eager slab rebuilds
+            // `warm()` releases the mapped codes from residency; they must
+            // read back unchanged.
+            for cell in 0..nlist {
+                prop_assert_eq!(mapped.list_codes(cell), &index.list(cell).codes[..]);
+            }
         }
 
         let params = IvfPqParams::new(nlist, (nlist / 2).max(1), 5).with_m(m);

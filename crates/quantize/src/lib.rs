@@ -14,16 +14,21 @@
 //! * [`linalg`] — the small dense-matrix kernel set (multiply, transpose,
 //!   orthonormalisation, Jacobi eigendecomposition/SVD) needed to train the
 //!   OPQ rotation without pulling in a LAPACK binding,
-//! * [`distance`] — scalar L2 / inner-product kernels shared by everything.
+//! * [`distance`] — the squared-L2 kernels shared by everything (one
+//!   reduction order, a portable and an AVX2 form),
+//! * [`dispatch`] — the single site that picks the SIMD tier for them and for
+//!   `fanns-ivf`'s scan kernels.
 
 #![warn(missing_docs)]
 
+pub mod dispatch;
 pub mod distance;
 pub mod kmeans;
 pub mod linalg;
 pub mod opq;
 pub mod pq;
 
+pub use dispatch::SimdTier;
 pub use kmeans::{KMeans, KMeansConfig};
 pub use linalg::Matrix;
 pub use opq::OpqTransform;

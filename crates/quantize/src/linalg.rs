@@ -109,8 +109,15 @@ impl Matrix {
 
     /// Applies the matrix to a vector: `y = self * x`.
     pub fn matvec(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(x.len(), self.cols, "vector length must equal column count");
         let mut y = vec![0.0f32; self.rows];
+        self.matvec_into(x, &mut y);
+        y
+    }
+
+    /// [`Matrix::matvec`] into a caller-owned buffer of `rows` entries.
+    pub fn matvec_into(&self, x: &[f32], y: &mut [f32]) {
+        assert_eq!(x.len(), self.cols, "vector length must equal column count");
+        assert_eq!(y.len(), self.rows, "output length must equal row count");
         for (i, yi) in y.iter_mut().enumerate() {
             let row = self.row(i);
             let mut acc = 0.0f32;
@@ -119,7 +126,6 @@ impl Matrix {
             }
             *yi = acc;
         }
-        y
     }
 
     /// Frobenius norm.

@@ -67,6 +67,14 @@ impl OpqTransform {
         self.rotation.matvec(v)
     }
 
+    /// [`OpqTransform::apply`] into a caller-owned buffer (resized to `dim`;
+    /// reusing it across queries makes Stage OPQ allocation-free).
+    pub fn apply_into(&self, v: &[f32], out: &mut Vec<f32>) {
+        assert_eq!(v.len(), self.dim, "vector dimensionality mismatch");
+        out.resize(self.dim, 0.0);
+        self.rotation.matvec_into(v, out);
+    }
+
     /// Applies the rotation to every vector of a flat buffer, returning a new
     /// flat buffer.
     pub fn apply_all(&self, data: &[f32]) -> Vec<f32> {

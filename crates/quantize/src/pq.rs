@@ -11,7 +11,7 @@
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::distance::l2_sq;
+use crate::distance::{first_min, l2_columns, l2_sq, SimdTier};
 use crate::kmeans::{KMeans, KMeansConfig};
 
 /// Configuration of a product quantizer.
@@ -53,7 +53,7 @@ impl PqConfig {
 }
 
 /// A trained product quantizer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProductQuantizer {
     dim: usize,
     m: usize,
@@ -61,13 +61,61 @@ pub struct ProductQuantizer {
     dsub: usize,
     /// Codebooks stored as `m` blocks of `ksub * dsub` floats.
     codebooks: Vec<f32>,
+    /// Dimension-major copy of the codebooks, `m` blocks of `dsub * ksub`
+    /// floats (`[j][d][c]`): the layout the LUT/encode kernel streams with
+    /// its lanes over centroids. Derived from `codebooks` on construction,
+    /// never serialized; costs another `dim * ksub * 4` bytes.
+    transposed: Vec<f32>,
     /// Mean squared reconstruction error measured on the training set.
     pub train_error: f64,
 }
 
+/// The serialized form of a [`ProductQuantizer`]: every field but the
+/// derived transposed codebooks.
+#[derive(Serialize, Deserialize)]
+struct ProductQuantizerRepr {
+    dim: usize,
+    m: usize,
+    ksub: usize,
+    dsub: usize,
+    codebooks: Vec<f32>,
+    train_error: f64,
+}
+
+impl Serialize for ProductQuantizer {
+    fn to_value(&self) -> serde::Value {
+        ProductQuantizerRepr {
+            dim: self.dim,
+            m: self.m,
+            ksub: self.ksub,
+            dsub: self.dsub,
+            codebooks: self.codebooks.clone(),
+            train_error: self.train_error,
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for ProductQuantizer {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let repr = ProductQuantizerRepr::from_value(value)?;
+        let shape_ok = repr.m > 0
+            && repr.dim.is_multiple_of(repr.m)
+            && repr.dsub == repr.dim / repr.m
+            && (2..=256).contains(&repr.ksub)
+            && repr.dim.checked_mul(repr.ksub) == Some(repr.codebooks.len());
+        if !shape_ok {
+            return Err(serde::Error::new("inconsistent product quantizer shape"));
+        }
+        let mut pq = Self::from_codebooks(repr.dim, repr.m, repr.ksub, repr.codebooks);
+        pq.train_error = repr.train_error;
+        Ok(pq)
+    }
+}
+
 /// A per-query asymmetric-distance lookup table: `m` rows of `ksub` partial
 /// squared distances. Summing one entry per row reproduces Equation 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DistanceTable {
     m: usize,
     ksub: usize,
@@ -335,14 +383,9 @@ impl ProductQuantizer {
             train_error += model.mse;
         }
 
-        Self {
-            dim,
-            m: config.m,
-            ksub: config.ksub,
-            dsub,
-            codebooks,
-            train_error,
-        }
+        let mut pq = Self::from_codebooks(dim, config.m, config.ksub, codebooks);
+        pq.train_error = train_error;
+        pq
     }
 
     /// Rebuilds a quantizer from its flat codebook buffer (`m` blocks of
@@ -367,12 +410,25 @@ impl ProductQuantizer {
             dim * ksub,
             "codebook buffer must hold m * ksub * dsub = dim * ksub floats"
         );
+        let dsub = dim / m;
+        let mut transposed = vec![0.0f32; codebooks.len()];
+        for (book, tbook) in codebooks
+            .chunks_exact(ksub * dsub)
+            .zip(transposed.chunks_exact_mut(ksub * dsub))
+        {
+            for (c, cent) in book.chunks_exact(dsub).enumerate() {
+                for (d, &x) in cent.iter().enumerate() {
+                    tbook[d * ksub + c] = x;
+                }
+            }
+        }
         Self {
             dim,
             m,
             ksub,
-            dsub: dim / m,
+            dsub,
             codebooks,
+            transposed,
             train_error: 0.0,
         }
     }
@@ -410,41 +466,53 @@ impl ProductQuantizer {
         &self.codebooks
     }
 
+    /// Distances from sub-vector `j` of `v` to the `ksub` centroids of
+    /// sub-quantizer `j`, into `row`: the kernel behind both the lookup
+    /// table and the encoder.
+    #[inline]
+    fn sub_distances(&self, tier: SimdTier, v: &[f32], j: usize, row: &mut [f32]) {
+        let stride = self.ksub * self.dsub;
+        l2_columns(
+            tier,
+            &v[j * self.dsub..(j + 1) * self.dsub],
+            &self.transposed[j * stride..(j + 1) * stride],
+            row,
+        );
+    }
+
     /// Encodes a single vector into its `m`-byte PQ code.
     pub fn encode(&self, v: &[f32]) -> Vec<u8> {
-        assert_eq!(v.len(), self.dim, "vector dimensionality mismatch");
-        let mut code = Vec::with_capacity(self.m);
-        for j in 0..self.m {
-            let sub = &v[j * self.dsub..(j + 1) * self.dsub];
-            let book = self.codebook(j);
-            let mut best = 0usize;
-            let mut best_d = f32::INFINITY;
-            for (c, cent) in book.chunks_exact(self.dsub).enumerate() {
-                let d = l2_sq(sub, cent);
-                if d < best_d {
-                    best_d = d;
-                    best = c;
-                }
-            }
-            code.push(best as u8);
-        }
+        let mut code = vec![0u8; self.m];
+        self.encode_into(v, &mut code);
         code
+    }
+
+    /// [`ProductQuantizer::encode`] into a caller-owned `m`-byte buffer:
+    /// byte `j` is the first (lowest-index) nearest centroid of sub-space
+    /// `j`.
+    pub fn encode_into(&self, v: &[f32], code: &mut [u8]) {
+        assert_eq!(v.len(), self.dim, "vector dimensionality mismatch");
+        assert_eq!(code.len(), self.m, "code length mismatch");
+        let tier = SimdTier::process_default();
+        let mut row = [0.0f32; 256];
+        let row = &mut row[..self.ksub];
+        for (j, byte) in code.iter_mut().enumerate() {
+            self.sub_distances(tier, v, j, row);
+            *byte = first_min(row).0 as u8;
+        }
     }
 
     /// Encodes every vector of a flat buffer in parallel, returning a flat
     /// `n × m` code buffer.
     pub fn encode_all(&self, data: &[f32]) -> Vec<u8> {
         assert!(data.len().is_multiple_of(self.dim));
-        let n = data.len() / self.dim;
-        let codes: Vec<Vec<u8>> = (0..n)
+        let mut codes = vec![0u8; data.len() / self.dim * self.m];
+        codes
+            .chunks_exact_mut(self.m)
+            .zip(data.chunks_exact(self.dim))
             .into_par_iter()
-            .map(|i| self.encode(&data[i * self.dim..(i + 1) * self.dim]))
-            .collect();
-        let mut flat = Vec::with_capacity(n * self.m);
-        for c in codes {
-            flat.extend_from_slice(&c);
-        }
-        flat
+            .for_each(|(code, v)| self.encode_into(v, code));
+        codes
     }
 
     /// Reconstructs (decodes) the vector approximated by a PQ code.
@@ -463,19 +531,26 @@ impl ProductQuantizer {
     /// BuildLUT): entry `(j, c)` is the squared distance between the query's
     /// j-th sub-vector and centroid `c` of sub-quantizer `j`.
     pub fn build_distance_table(&self, query: &[f32]) -> DistanceTable {
+        let mut table = DistanceTable::default();
+        self.build_distance_table_into(SimdTier::process_default(), query, &mut table);
+        table
+    }
+
+    /// [`ProductQuantizer::build_distance_table`] on an explicit kernel tier
+    /// into a caller-owned table, whose buffer is reused: rebuilding a table
+    /// of the same shape allocates nothing. Both tiers write the same bits.
+    pub fn build_distance_table_into(
+        &self,
+        tier: SimdTier,
+        query: &[f32],
+        table: &mut DistanceTable,
+    ) {
         assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
-        let mut table = Vec::with_capacity(self.m * self.ksub);
-        for j in 0..self.m {
-            let sub = &query[j * self.dsub..(j + 1) * self.dsub];
-            let book = self.codebook(j);
-            for cent in book.chunks_exact(self.dsub) {
-                table.push(l2_sq(sub, cent));
-            }
-        }
-        DistanceTable {
-            m: self.m,
-            ksub: self.ksub,
-            table,
+        table.m = self.m;
+        table.ksub = self.ksub;
+        table.table.resize(self.m * self.ksub, 0.0);
+        for (j, row) in table.table.chunks_exact_mut(self.ksub).enumerate() {
+            self.sub_distances(tier, query, j, row);
         }
     }
 

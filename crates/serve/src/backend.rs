@@ -20,11 +20,8 @@ use std::time::Instant;
 use fanns_codegen::plan::{instantiate, AcceleratorPlan};
 use fanns_ivf::flat::FlatIndex;
 use fanns_ivf::index::IvfPqIndex;
-use fanns_ivf::params::IvfPqParams;
-use fanns_ivf::search::{
-    search_with_kernel, stage_build_lut, stage_ivf_dist, stage_opq, stage_scan_and_select_with,
-    stage_sel_cells, SearchResult,
-};
+use fanns_ivf::params::{IvfPqParams, SearchStage};
+use fanns_ivf::search::{stage_scan_and_select_with, SearchResult};
 use fanns_ivf::simd::{default_kernel, ScanKernel, ScanScratch};
 use fanns_ivf::source::IvfSource;
 use fanns_ivf::storage::{MappedIndex, StorageError};
@@ -168,89 +165,62 @@ enum BackendIndex {
     Mapped(Arc<MappedIndex>),
 }
 
+impl BackendIndex {
+    fn source(&self) -> &dyn IvfSource {
+        match self {
+            BackendIndex::Heap(i) => &**i,
+            BackendIndex::Mapped(i) => &**i,
+        }
+    }
+}
+
 impl IvfSource for BackendIndex {
     fn dim(&self) -> usize {
-        match self {
-            BackendIndex::Heap(i) => IvfSource::dim(&**i),
-            BackendIndex::Mapped(i) => IvfSource::dim(&**i),
-        }
+        self.source().dim()
     }
 
     fn m(&self) -> usize {
-        match self {
-            BackendIndex::Heap(i) => IvfSource::m(&**i),
-            BackendIndex::Mapped(i) => IvfSource::m(&**i),
-        }
+        self.source().m()
     }
 
     fn ksub(&self) -> usize {
-        match self {
-            BackendIndex::Heap(i) => IvfSource::ksub(&**i),
-            BackendIndex::Mapped(i) => IvfSource::ksub(&**i),
-        }
+        self.source().ksub()
     }
 
     fn nlist(&self) -> usize {
-        match self {
-            BackendIndex::Heap(i) => IvfSource::nlist(&**i),
-            BackendIndex::Mapped(i) => IvfSource::nlist(&**i),
-        }
+        self.source().nlist()
     }
 
     fn ntotal(&self) -> usize {
-        match self {
-            BackendIndex::Heap(i) => IvfSource::ntotal(&**i),
-            BackendIndex::Mapped(i) => IvfSource::ntotal(&**i),
-        }
+        self.source().ntotal()
     }
 
     fn opq(&self) -> Option<&fanns_quantize::opq::OpqTransform> {
-        match self {
-            BackendIndex::Heap(i) => IvfSource::opq(&**i),
-            BackendIndex::Mapped(i) => IvfSource::opq(&**i),
-        }
+        self.source().opq()
     }
 
     fn centroids(&self) -> &[f32] {
-        match self {
-            BackendIndex::Heap(i) => IvfSource::centroids(&**i),
-            BackendIndex::Mapped(i) => IvfSource::centroids(&**i),
-        }
+        self.source().centroids()
     }
 
-    fn build_lut(&self, query: &[f32]) -> fanns_quantize::pq::DistanceTable {
-        match self {
-            BackendIndex::Heap(i) => IvfSource::build_lut(&**i, query),
-            BackendIndex::Mapped(i) => IvfSource::build_lut(&**i, query),
-        }
+    fn pq(&self) -> &fanns_quantize::pq::ProductQuantizer {
+        self.source().pq()
     }
 
     fn list_len(&self, cell: usize) -> usize {
-        match self {
-            BackendIndex::Heap(i) => IvfSource::list_len(&**i, cell),
-            BackendIndex::Mapped(i) => IvfSource::list_len(&**i, cell),
-        }
+        self.source().list_len(cell)
     }
 
     fn list_ids(&self, cell: usize) -> &[u32] {
-        match self {
-            BackendIndex::Heap(i) => IvfSource::list_ids(&**i, cell),
-            BackendIndex::Mapped(i) => IvfSource::list_ids(&**i, cell),
-        }
+        self.source().list_ids(cell)
     }
 
     fn list_codes(&self, cell: usize) -> &[u8] {
-        match self {
-            BackendIndex::Heap(i) => IvfSource::list_codes(&**i, cell),
-            BackendIndex::Mapped(i) => IvfSource::list_codes(&**i, cell),
-        }
+        self.source().list_codes(cell)
     }
 
     fn slab(&self, cell: usize) -> &fanns_ivf::simd::CodeSlab {
-        match self {
-            BackendIndex::Heap(i) => IvfSource::slab(&**i, cell),
-            BackendIndex::Mapped(i) => IvfSource::slab(&**i, cell),
-        }
+        self.source().slab(cell)
     }
 }
 
@@ -390,91 +360,57 @@ impl CpuBackend {
         }
     }
 
-    /// One query through the cached pipeline: reuse (or compute and memoize)
-    /// the probe cells + LUT, then scan. Stage order and arithmetic match
-    /// [`fanns_ivf::search::search`] exactly.
-    fn search_cached(
+    /// One query: the prefix (coarse quantisation + LUT build, or their
+    /// memoized result when the centroid/LUT cache holds this query), then
+    /// the scan. With a `sink`, one span per sub-stage that actually ran is
+    /// recorded — a cache hit records only its scan. Every combination runs
+    /// the arithmetic of [`fanns_ivf::search::search`], so results are
+    /// bit-identical across them; tracing adds four `Instant::now()` reads
+    /// and three ring pushes.
+    fn search_one(
         &self,
-        cache: &CentroidLutCache,
+        sink: Option<&TelemetrySink>,
         query: &[f32],
         scratch: &mut ScanScratch,
     ) -> Vec<SearchResult> {
-        let entry = match cache.get(query) {
-            Some(entry) => entry,
-            None => {
-                let rotated = stage_opq(&self.index, query);
-                let dists = stage_ivf_dist(&self.index, &rotated);
-                let cells = stage_sel_cells(&dists, self.params.effective_nprobe());
-                let lut = stage_build_lut(&self.index, &rotated);
-                let entry = std::sync::Arc::new((cells, lut));
-                cache.insert(query, std::sync::Arc::clone(&entry));
-                entry
-            }
-        };
-        let (cells, lut) = (&entry.0, &entry.1);
-        cache.record_probes(cells);
-        stage_scan_and_select_with(
-            &self.index,
-            cells,
-            lut,
-            self.params.k,
-            self.kernel(),
-            scratch,
-        )
-    }
-
-    /// One query through the staged pipeline with sub-stage spans recorded.
-    /// Calls the same `stage_*` kernels the fused [`search`] composes, so
-    /// results are bit-identical to the untraced path; the only extra work
-    /// is four `Instant::now()` reads and three ring pushes.
-    fn search_traced(
-        &self,
-        sink: &TelemetrySink,
-        query: &[f32],
-        scratch: &mut ScanScratch,
-    ) -> Vec<SearchResult> {
-        let qid = sink.next_id();
-        let kernel = self.kernel();
-        if let Some(cache) = &self.lut_cache {
-            if let Some(entry) = cache.get(query) {
-                // Cached hit: coarse quantization and LUT build are
-                // memoized away; only the scan runs (and is recorded).
+        let (kernel, k) = (self.kernel(), self.params.k);
+        let stamp = || sink.map(|_| Instant::now());
+        let t0 = stamp();
+        // End of coarse quantisation and of the LUT build, when they ran.
+        let (mut t1, mut t2) = (None, None);
+        let cache = self.lut_cache.as_ref();
+        let results = match cache.and_then(|cache| Some((cache, cache.get(query)?))) {
+            Some((cache, entry)) => {
                 cache.record_probes(&entry.0);
-                let t0 = std::time::Instant::now();
-                let results = stage_scan_and_select_with(
-                    &self.index,
-                    &entry.0,
-                    &entry.1,
-                    self.params.k,
-                    kernel,
-                    scratch,
-                );
-                sink.record_range(Stage::Scan, qid, t0, std::time::Instant::now());
-                return results;
+                stage_scan_and_select_with(&self.index, &entry.0, &entry.1, k, kernel, scratch)
             }
+            None => scratch.with_prefix(|prefix, scratch| {
+                let nprobe = self.params.effective_nprobe();
+                prefix.compute(&self.index, query, nprobe, kernel, |stage| match stage {
+                    SearchStage::SelCells => t1 = stamp(),
+                    SearchStage::BuildLut => t2 = stamp(),
+                    _ => {}
+                });
+                let (cells, lut) = (prefix.cells(), prefix.lut());
+                if let Some(cache) = cache {
+                    cache.insert(query, Arc::new((cells.to_vec(), lut.clone())));
+                    cache.record_probes(cells);
+                }
+                stage_scan_and_select_with(&self.index, cells, lut, k, kernel, scratch)
+            }),
+        };
+        if let (Some(sink), Some(t0)) = (sink, t0) {
+            let qid = sink.next_id();
+            let scan_from = match (t1, t2) {
+                (Some(t1), Some(t2)) => {
+                    sink.record_range(Stage::Coarse, qid, t0, t1);
+                    sink.record_range(Stage::BuildLut, qid, t1, t2);
+                    t2
+                }
+                _ => t0,
+            };
+            sink.record_range(Stage::Scan, qid, scan_from, Instant::now());
         }
-        let t0 = std::time::Instant::now();
-        let rotated = stage_opq(&self.index, query);
-        let dists = stage_ivf_dist(&self.index, &rotated);
-        let cells = stage_sel_cells(&dists, self.params.effective_nprobe());
-        let t1 = std::time::Instant::now();
-        let lut = stage_build_lut(&self.index, &rotated);
-        let t2 = std::time::Instant::now();
-        let (cells, lut) = match &self.lut_cache {
-            Some(cache) => {
-                let entry = std::sync::Arc::new((cells, lut));
-                cache.insert(query, std::sync::Arc::clone(&entry));
-                cache.record_probes(&entry.0);
-                (entry.0.clone(), entry.1.clone())
-            }
-            None => (cells, lut),
-        };
-        let results =
-            stage_scan_and_select_with(&self.index, &cells, &lut, self.params.k, kernel, scratch);
-        let t3 = std::time::Instant::now();
-        sink.record_range(Stage::Coarse, qid, t0, t1);
-        sink.record_range(Stage::BuildLut, qid, t1, t2);
-        sink.record_range(Stage::Scan, qid, t2, t3);
         results
     }
 }
@@ -516,24 +452,10 @@ impl SearchBackend for CpuBackend {
         // whole batch; each engine worker drives its own backend call, so
         // this stays free of cross-thread contention.
         let mut scratch = ScanScratch::new();
-        let kernel = self.kernel();
         queries
             .iter()
             .map(|q| BackendResponse {
-                results: match traced {
-                    Some(sink) => self.search_traced(sink, q, &mut scratch),
-                    None => match &self.lut_cache {
-                        Some(cache) => self.search_cached(cache, q, &mut scratch),
-                        None => search_with_kernel(
-                            &self.index,
-                            q,
-                            self.params.k,
-                            self.params.effective_nprobe(),
-                            kernel,
-                            &mut scratch,
-                        ),
-                    },
-                },
+                results: self.search_one(traced, q, &mut scratch),
                 simulated_us: None,
             })
             .collect()

@@ -1165,19 +1165,25 @@ mod tests {
             let ring = Arc::clone(&ring);
             let stop = Arc::clone(&stop);
             thread::spawn(move || {
+                // Every successful pop is counted exactly once; the stop
+                // flag is read *before* the pop, so the pop that comes back
+                // empty after the flag was seen set happened after every
+                // producer had finished.
                 let mut popped = 0u64;
-                while !stop.load(Ordering::Relaxed) || ring.pop().is_some() {
+                loop {
+                    let stopping = stop.load(Ordering::Acquire);
                     if ring.pop().is_some() {
                         popped += 1;
+                    } else if stopping {
+                        break popped;
                     }
                 }
-                popped
             })
         };
         for p in producers {
             p.join().unwrap();
         }
-        stop.store(true, Ordering::Relaxed);
+        stop.store(true, Ordering::Release);
         let popped = consumer.join().unwrap();
         // Whatever was not dropped was eventually popped.
         let mut rest = 0u64;
