@@ -33,7 +33,6 @@ struct SweepRow {
     backend: String,
     shards: usize,
     max_batch_size: usize,
-    max_wait_us: u64,
     workers: usize,
     network_us_per_query: f64,
     queries: u64,
@@ -53,7 +52,7 @@ fn main() {
     let workload = sift_workload(scale);
     print_header(
         "serve_throughput",
-        "online serving sweep: dynamic batch size x shard count (closed loop)",
+        "online serving sweep: batch size cap x shard count (closed loop)",
     );
     println!(
         "dataset: {} vectors x {} dims, {} distinct queries, scale {:?}",
@@ -96,8 +95,7 @@ fn main() {
         let backend_name = backend.name();
 
         for &max_batch in &batch_sizes {
-            let policy = BatchPolicy::new(max_batch, Duration::from_micros(500));
-            let config = EngineConfig::new(policy)
+            let config = EngineConfig::new(BatchPolicy::new(max_batch, Duration::ZERO))
                 .with_workers(2)
                 .with_queue_depth(4_096);
             let engine = QueryEngine::start(backend.clone(), config);
@@ -108,7 +106,6 @@ fn main() {
                 backend: backend_name.clone(),
                 shards,
                 max_batch_size: max_batch,
-                max_wait_us: policy.max_wait.as_micros() as u64,
                 workers: config.workers,
                 network_us_per_query: network_us,
                 queries: report.queries,

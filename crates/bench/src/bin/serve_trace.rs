@@ -30,15 +30,21 @@
 //!    (the live-path Fig. 3 analogue), the dominant-stage census and the
 //!    slowest query's breakdown, and asserts the stage sums reconcile with
 //!    measured wall latency to within ±5 %.
+//! 6. **Baseline.** Rewrites the `serve_trace` section of
+//!    `BENCH_serve.json` (`FANNS_BENCH_OUT` redirects it): the two medians
+//!    of the overhead gate and the p50 of every query-path stage of the
+//!    final traced run, so the committed baseline says where a query's time
+//!    goes, not only how long it took.
 //!
 //! Outputs land in `target/serve_trace/` (override with `FANNS_TRACE_DIR`).
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use fanns_bench::{print_header, Scale};
+use fanns_bench::{baseline, print_header, Scale};
 use fanns_dataset::synth::SyntheticSpec;
 use fanns_ivf::index::{IvfPqIndex, IvfPqTrainConfig};
 use fanns_ivf::params::IvfPqParams;
@@ -290,6 +296,22 @@ fn main() {
         (0.95..=1.05).contains(&stages.reconciliation),
         "stage sums must reconcile with wall latency: reconciliation {:.3}",
         stages.reconciliation
+    );
+
+    let mut canonical: BTreeMap<String, f64> = BTreeMap::new();
+    canonical.insert("untraced_p50_us".into(), untraced_p50);
+    canonical.insert("traced_p50_us".into(), traced_p50);
+    let path_stages = ["submit", "queue_wait", "batch_form", "service", "reply"];
+    for row in &stages.rows {
+        if path_stages.contains(&row.stage.as_str()) {
+            canonical.insert(format!("stage_{}_p50_us", row.stage), row.p50_us);
+        }
+    }
+    let out = baseline::update_section(&baseline::bench_out_path(), "serve_trace", &canonical);
+    eprintln!(
+        "serve_trace: wrote {} metrics to {}",
+        canonical.len(),
+        out.display()
     );
 
     eprintln!(

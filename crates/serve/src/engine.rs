@@ -1,41 +1,48 @@
-//! The multi-threaded [`QueryEngine`]: bounded admission queue → dynamic
-//! batcher → worker pool over a [`SearchBackend`].
+//! The multi-threaded [`QueryEngine`]: one bounded admission queue that a
+//! worker pool over a [`SearchBackend`] drains into batches itself.
 //!
-//! Threading model (std threads and channels only — no async runtime):
+//! Threading model (std threads, a mutex and two condvars — no async
+//! runtime, no scheduler thread):
 //!
 //! ```text
-//!  clients ──try_send──▶ [submit queue, bounded] ──▶ batcher thread
-//!                                                        │ (max_batch_size /
-//!                                                        ▼  max_wait policy)
-//!                                         [batch queue, bounded]
-//!                                          ▲ backpressure when workers lag
-//!                 worker 0 ◀───────────────┤
-//!                 worker 1 ◀───────────────┘  each: backend.search_batch
-//!                     │
-//!                     └──▶ per-request reply channel + shared metrics
+//!  clients ──push──▶ [admission queue, bounded by queue_depth]
+//!                        │  a free worker takes what is queued, up to
+//!                        │  max_batch_size, under the queue lock:
+//!                        │  shed expired → pick FIFO / EDF → dispatch
+//!          worker 0 ◀────┤
+//!          worker 1 ◀────┘  each: backend.search_batch
+//!              │
+//!              └──▶ per-request reply channel + shared metrics
 //! ```
 //!
-//! Backpressure is end-to-end: when workers fall behind, the bounded batch
-//! queue blocks the batcher, the bounded submit queue fills, and
-//! [`QueryEngine::try_submit`] starts returning [`SubmitError::QueueFull`] —
-//! the signal an upstream load balancer uses to shed load. Shutdown is
-//! graceful: queued queries are drained, workers join, and the final
-//! [`ServeReport`] accounts for every accepted query.
+//! The engine is work-conserving: a worker that is free never waits for
+//! co-batched work, so an idle engine answers a lone query at once, and a
+//! busy one batches by itself — arrivals accumulate while every worker is
+//! inside the backend, and the next free worker takes them together.
+//!
+//! Backpressure is the queue bound: at most `queue_depth` accepted queries
+//! wait at any instant (whatever the pickup order or shedding mode), and
+//! beyond that [`QueryEngine::try_submit`] returns
+//! [`SubmitError::QueueFull`] — the signal an upstream load balancer uses to
+//! shed load — while [`QueryEngine::submit`] blocks until a worker makes
+//! room. Shutdown is graceful: queued queries are drained, workers join, and
+//! the final [`ServeReport`] accounts for every accepted query.
 //!
 //! Admission is optionally **deadline-aware**: when an SLO is configured,
 //! every query carries an absolute deadline (`submitted + SLO`, or an
 //! explicit per-query budget via [`QueryEngine::submit_with_budget`]). With
-//! [`AdmissionPolicy::deadline_shedding`] enabled, the batcher sheds queries
-//! whose remaining budget is below the backend's modeled service time — an
-//! EWMA the workers maintain from observed batches — *before* wasting
-//! backend work on them, and the [`PickupOrder::EarliestDeadlineFirst`]
-//! policy serves the most urgent queries first. Shed queries are never
+//! [`AdmissionPolicy::deadline_shedding`] enabled, each pickup first sheds
+//! every queued query whose remaining budget is below the backend's modeled
+//! service time — an EWMA the workers maintain from observed batches —
+//! *before* wasting backend work on it, and the
+//! [`PickupOrder::EarliestDeadlineFirst`] policy serves the most urgent
+//! queries first. Both decisions see the whole queue. Shed queries are never
 //! silently dropped: their tickets resolve with [`QueryStatus::Shed`].
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -46,7 +53,7 @@ use crate::cache::{CacheKey, QueryResultCache};
 use crate::metrics::{CacheReport, MetricsCollector, ServeReport};
 use crate::telemetry::{self, Gauge, Stage, TelemetryRegistry, TelemetrySink};
 
-/// Order in which the batcher picks pending queries into a batch.
+/// Order in which a worker picks queued queries into a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PickupOrder {
     /// Arrival order — fair, and optimal when every query has the same
@@ -60,24 +67,24 @@ pub enum PickupOrder {
     EarliestDeadlineFirst,
 }
 
-/// Dynamic batching policy: dispatch when `max_batch_size` queries are
-/// waiting or when the oldest query has waited `max_wait`, whichever first.
+/// Batching policy: a free worker dispatches whatever is queued, up to
+/// `max_batch_size` queries, and never waits for more.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchPolicy {
     /// Largest batch handed to the backend.
     pub max_batch_size: usize,
-    /// Longest time the oldest queued query may wait for co-batched work.
-    pub max_wait: Duration,
-    /// How the batcher orders pending queries into batches.
+    /// How a worker orders queued queries into batches.
     pub pickup: PickupOrder,
 }
 
 impl BatchPolicy {
-    /// A FIFO policy with the given size cap and wait bound.
-    pub fn new(max_batch_size: usize, max_wait: Duration) -> Self {
+    /// A FIFO policy with the given size cap. `_max_wait` is accepted and
+    /// unused: no worker waits for co-batched work, so there is no window
+    /// to bound, and the parameter remains only because the repo's pinned
+    /// benchmark calls this two-argument constructor.
+    pub fn new(max_batch_size: usize, _max_wait: Duration) -> Self {
         Self {
             max_batch_size: max_batch_size.max(1),
-            max_wait,
             pickup: PickupOrder::Fifo,
         }
     }
@@ -88,21 +95,21 @@ impl BatchPolicy {
         self
     }
 
-    /// Latency-leaning default: small batches, short waits.
+    /// Latency-leaning default: batches of at most 8.
     pub fn low_latency() -> Self {
-        Self::new(8, Duration::from_micros(200))
+        Self::new(8, Duration::ZERO)
     }
 
-    /// Throughput-leaning default: large batches, tolerant waits.
+    /// Throughput-leaning default: batches of up to 256.
     pub fn high_throughput() -> Self {
-        Self::new(256, Duration::from_millis(2))
+        Self::new(256, Duration::ZERO)
     }
 }
 
 /// Deadline-aware admission policy.
 ///
-/// With shedding enabled, the batcher drops (with a resolved
-/// [`QueryStatus::Shed`] ticket) any pending query whose deadline has passed
+/// With shedding enabled, every pickup drops (with a resolved
+/// [`QueryStatus::Shed`] ticket) any queued query whose deadline has passed
 /// or whose remaining budget is below the modeled per-query service time, so
 /// backend capacity is spent only on queries that can still meet their SLO.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -131,7 +138,8 @@ pub struct EngineConfig {
     pub batch: BatchPolicy,
     /// Worker threads executing batches on the backend.
     pub workers: usize,
-    /// Capacity of the submit queue (admission control).
+    /// Capacity of the admission queue: the most accepted queries that may
+    /// wait for a worker at once.
     pub queue_depth: usize,
     /// Latency SLO in microseconds; tracked in the report when set, and the
     /// source of each query's absolute deadline.
@@ -288,7 +296,7 @@ struct Request {
     /// lookup missed — the worker fills the cache under this key once the
     /// backend answers.
     cache_key: Option<CacheKey>,
-    reply_tx: std::sync::mpsc::Sender<QueryReply>,
+    reply_tx: Sender<QueryReply>,
     /// Whether telemetry traces this query (`id % sample_every == 0`).
     /// Always `false` when the engine runs without a registry.
     sampled: bool,
@@ -297,7 +305,6 @@ struct Request {
     /// degrade to zero duration rather than garbage if a stage is skipped).
     t_enqueued: Instant,
     t_picked: Instant,
-    t_dispatched: Instant,
 }
 
 impl Request {
@@ -320,18 +327,192 @@ impl Request {
     }
 }
 
-/// The workers' modeled per-query service time, read by the batcher's
-/// shedding decision.
+/// The workers' modeled per-query service time, read by the shedding
+/// decision at every pickup.
 type ServiceEstimate = crate::metrics::AtomicEwmaUs;
+
+/// What the lock protects: the waiting queries and who is asleep on them.
+struct QueueState {
+    pending: VecDeque<Request>,
+    /// Cleared by shutdown: no more admissions, workers exit once drained.
+    open: bool,
+    /// Workers asleep on `not_empty`.
+    parked_workers: usize,
+    /// Blocking submitters asleep on `not_full`.
+    blocked_submitters: usize,
+}
+
+/// What one pickup removed from the queue.
+struct Pickup {
+    /// The next batch, at most `max_batch_size` queries (empty when the
+    /// pickup shed everything that was waiting).
+    batch: Vec<Request>,
+    /// Queries that can no longer meet their deadline.
+    shed: Vec<Request>,
+}
+
+/// The one queue between submitters and workers, bounded by `queue_depth`.
+/// Submitters push under the lock; a free worker sheds, selects and removes
+/// its next batch under the same lock, so both decisions see every waiting
+/// query and the bound holds exactly.
+struct AdmissionQueue {
+    state: Mutex<QueueState>,
+    not_empty: Condvar,
+    not_full: Condvar,
+    depth: usize,
+    policy: BatchPolicy,
+    admission: AdmissionPolicy,
+    estimate: ServiceEstimate,
+    telemetry: Option<Arc<TelemetryRegistry>>,
+}
+
+impl AdmissionQueue {
+    fn new(config: &EngineConfig, telemetry: Option<Arc<TelemetryRegistry>>) -> Self {
+        Self {
+            state: Mutex::new(QueueState {
+                pending: VecDeque::new(),
+                open: true,
+                parked_workers: 0,
+                blocked_submitters: 0,
+            }),
+            not_empty: Condvar::new(),
+            not_full: Condvar::new(),
+            depth: config.queue_depth,
+            policy: config.batch,
+            admission: config.admission,
+            estimate: ServiceEstimate::new(config.admission.initial_service_estimate_us),
+            telemetry,
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state
+            .lock()
+            .expect("admission queue lock poisoned: a thread panicked inside the queue")
+    }
+
+    fn publish_depth(&self, state: &QueueState) {
+        if let Some(registry) = &self.telemetry {
+            registry.set_gauge(Gauge::QueueDepth, state.pending.len() as i64);
+        }
+    }
+
+    /// Appends an admitted request. A full queue refuses it, or with
+    /// `wait_for_room` blocks until a pickup frees a slot.
+    fn push(&self, mut request: Request, wait_for_room: bool) -> Result<(), SubmitError> {
+        if request.sampled {
+            request.t_enqueued = Instant::now();
+        }
+        let mut state = self.lock();
+        while state.open && state.pending.len() >= self.depth {
+            if !wait_for_room {
+                return Err(SubmitError::QueueFull);
+            }
+            state.blocked_submitters += 1;
+            state = self
+                .not_full
+                .wait(state)
+                .expect("admission queue lock poisoned");
+            state.blocked_submitters -= 1;
+        }
+        if !state.open {
+            return Err(SubmitError::ShuttingDown);
+        }
+        state.pending.push_back(request);
+        self.publish_depth(&state);
+        // Only a parked worker needs waking. While every worker is busy
+        // each looks at the queue again when its batch ends, so a submit
+        // into a saturated engine makes no futex call.
+        let wake = state.parked_workers > 0;
+        drop(state);
+        if wake {
+            self.not_empty.notify_one();
+        }
+        Ok(())
+    }
+
+    /// Blocks until queries are waiting, then takes the next batch: sheds
+    /// what can no longer meet its deadline, orders the rest by the pickup
+    /// policy, and removes up to `max_batch_size` — all under the lock.
+    /// `None` once the queue is closed and drained.
+    fn next_pickup(&self) -> Option<Pickup> {
+        let mut state = self.lock();
+        while state.pending.is_empty() {
+            if !state.open {
+                return None;
+            }
+            state.parked_workers += 1;
+            state = self
+                .not_empty
+                .wait(state)
+                .expect("admission queue lock poisoned");
+            state.parked_workers -= 1;
+        }
+        let now = Instant::now();
+        let mut shed = Vec::new();
+        if self.admission.deadline_shedding {
+            // A query whose remaining budget is below the modeled service
+            // time cannot meet its deadline: resolving it now costs nothing
+            // and keeps backend capacity for queries that still can.
+            let horizon = now + Duration::from_secs_f64(self.estimate.get_us().max(0.0) / 1e6);
+            let late = |r: &Request| r.deadline.is_some_and(|deadline| horizon >= deadline);
+            if state.pending.iter().any(late) {
+                let mut kept = VecDeque::with_capacity(state.pending.len());
+                for request in state.pending.drain(..) {
+                    if late(&request) {
+                        shed.push(request);
+                    } else {
+                        kept.push_back(request);
+                    }
+                }
+                state.pending = kept;
+            }
+        }
+        let take = state.pending.len().min(self.policy.max_batch_size);
+        if self.policy.pickup == PickupOrder::EarliestDeadlineFirst {
+            // Deadlined queries first, earliest first; the sort is stable,
+            // so arrival order breaks ties and orders the deadline-less.
+            // What stays behind is already in order for the next pickup.
+            state
+                .pending
+                .make_contiguous()
+                .sort_by_key(|r| (r.deadline.is_none(), r.deadline));
+        }
+        let mut batch: Vec<Request> = state.pending.drain(..take).collect();
+        self.publish_depth(&state);
+        let room_for_blocked = state.blocked_submitters > 0;
+        drop(state);
+        if room_for_blocked {
+            self.not_full.notify_all();
+        }
+        for request in batch.iter_mut().chain(&mut shed) {
+            if request.sampled {
+                request.t_picked = now;
+            }
+        }
+        Some(Pickup { batch, shed })
+    }
+
+    /// Stops admissions and wakes everyone: workers drain what is queued and
+    /// exit, blocked submitters return [`SubmitError::ShuttingDown`].
+    fn close(&self) {
+        // Runs from `Drop`, so it must not panic: clearing a flag leaves the
+        // state valid even if the lock was poisoned.
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .open = false;
+        self.not_empty.notify_all();
+        self.not_full.notify_all();
+    }
+}
 
 /// The online query-serving engine (see [`QueryEngine::start`] for a
 /// runnable submit → wait → shutdown example).
 pub struct QueryEngine {
-    submit_tx: Option<SyncSender<Request>>,
-    batcher: Option<JoinHandle<()>>,
+    queue: Arc<AdmissionQueue>,
     workers: Vec<JoinHandle<()>>,
     metrics: Arc<Mutex<MetricsCollector>>,
-    estimate: Arc<ServiceEstimate>,
     cache: Option<Arc<QueryResultCache>>,
     backend_name: String,
     dim: usize,
@@ -347,7 +528,7 @@ pub struct QueryEngine {
 }
 
 /// The outcome of admitting one query: either the cache answered it on the
-/// spot, or a request is ready for the submit queue.
+/// spot, or a request is ready for the admission queue.
 enum Admission {
     /// Result-cache hit — the ticket's reply is already delivered.
     Resolved(Ticket),
@@ -356,8 +537,8 @@ enum Admission {
 }
 
 impl QueryEngine {
-    /// Starts the engine: spawns the batcher and `config.workers` workers
-    /// over the shared backend.
+    /// Starts the engine: spawns `config.workers` workers over the shared
+    /// backend, all draining one admission queue.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -415,56 +596,30 @@ impl QueryEngine {
         cache: Option<Arc<QueryResultCache>>,
         telemetry: Option<Arc<TelemetryRegistry>>,
     ) -> Self {
-        let (submit_tx, submit_rx) = sync_channel::<Request>(config.queue_depth);
-        // A shallow batch queue: enough to keep workers busy, small enough
-        // that backpressure reaches the admission queue quickly.
-        let (batch_tx, batch_rx) = sync_channel::<Vec<Request>>(config.workers * 2);
-        let batch_rx = Arc::new(Mutex::new(batch_rx));
+        let queue = Arc::new(AdmissionQueue::new(&config, telemetry.clone()));
         let metrics = Arc::new(Mutex::new(MetricsCollector::default()));
-        let estimate = Arc::new(ServiceEstimate::new(
-            config.admission.initial_service_estimate_us,
-        ));
-
-        let batcher = {
-            let ctx = BatcherCtx {
-                policy: config.batch,
-                admission: config.admission,
-                queue_depth: config.queue_depth,
-                estimate: Arc::clone(&estimate),
-                metrics: Arc::clone(&metrics),
-                telemetry: telemetry.clone(),
-            };
-            std::thread::Builder::new()
-                .name("fanns-serve-batcher".into())
-                .spawn(move || run_batcher(submit_rx, batch_tx, ctx))
-                .expect("spawn batcher thread")
-        };
 
         let workers = (0..config.workers)
             .map(|w| {
                 let ctx = WorkerCtx {
                     backend: Arc::clone(&backend),
-                    batch_rx: Arc::clone(&batch_rx),
+                    queue: Arc::clone(&queue),
                     metrics: Arc::clone(&metrics),
-                    estimate: Arc::clone(&estimate),
                     cache: cache.clone(),
                     slo_us: config.slo_us,
-                    telemetry: telemetry.clone(),
                     sink: telemetry.as_ref().map(|t| t.sink()),
                 };
                 std::thread::Builder::new()
                     .name(format!("fanns-serve-worker-{w}"))
-                    .spawn(move || run_worker(ctx))
+                    .spawn(move || ctx.run())
                     .expect("spawn worker thread")
             })
             .collect();
 
         Self {
-            submit_tx: Some(submit_tx),
-            batcher: Some(batcher),
+            queue,
             workers,
             metrics,
-            estimate,
             cache,
             backend_name: backend.name(),
             dim: backend.dim(),
@@ -510,7 +665,7 @@ impl QueryEngine {
             let key = cache.key(&query);
             if let Some(results) = cache.get(&key) {
                 let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-                let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+                let (reply_tx, reply_rx) = channel();
                 let wall_us = submitted.elapsed().as_secs_f64() * 1e6;
                 {
                     let mut collector = self.metrics.lock().expect("metrics lock");
@@ -541,7 +696,7 @@ impl QueryEngine {
             cache_key = Some(key);
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+        let (reply_tx, reply_rx) = channel();
         // Explicit budget wins; otherwise the SLO sets the deadline.
         let deadline = budget.map(|b| submitted + b).or_else(|| {
             self.config
@@ -563,57 +718,36 @@ impl QueryEngine {
                 sampled,
                 t_enqueued: submitted,
                 t_picked: submitted,
-                t_dispatched: submitted,
             },
             Ticket { id, rx: reply_rx },
         ))
     }
 
-    fn push(&self, mut request: Request, ticket: Ticket) -> Result<Ticket, SubmitError> {
-        let tx = self.submit_tx.as_ref().ok_or(SubmitError::ShuttingDown)?;
-        if request.sampled {
-            request.t_enqueued = Instant::now();
-        }
-        match tx.try_send(request) {
-            Ok(()) => {
-                if let Some(registry) = &self.telemetry {
-                    registry.add_gauge(Gauge::QueueDepth, 1);
-                }
-                Ok(ticket)
-            }
-            Err(TrySendError::Full(_)) => {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                Err(SubmitError::QueueFull)
-            }
-            Err(TrySendError::Disconnected(_)) => Err(SubmitError::ShuttingDown),
-        }
-    }
-
-    /// Blocking enqueue of an admitted request (closed-loop clients).
-    fn enqueue_blocking(
+    /// The one submission path: admit (a cache hit resolves here), then
+    /// queue. `wait_for_room` is the closed-loop clients' blocking submit;
+    /// without it a full queue is a counted rejection.
+    fn submit_inner(
         &self,
-        mut request: Request,
-        ticket: Ticket,
+        query: Vec<f32>,
+        budget: Option<Duration>,
+        wait_for_room: bool,
     ) -> Result<Ticket, SubmitError> {
-        let tx = self.submit_tx.as_ref().ok_or(SubmitError::ShuttingDown)?;
-        if request.sampled {
-            request.t_enqueued = Instant::now();
+        let (request, ticket) = match self.admit(query, budget)? {
+            Admission::Resolved(ticket) => return Ok(ticket),
+            Admission::Enqueue(request, ticket) => (request, ticket),
+        };
+        let pushed = self.queue.push(request, wait_for_room);
+        if pushed == Err(SubmitError::QueueFull) {
+            self.rejected.fetch_add(1, Ordering::Relaxed);
         }
-        tx.send(request).map_err(|_| SubmitError::ShuttingDown)?;
-        if let Some(registry) = &self.telemetry {
-            registry.add_gauge(Gauge::QueueDepth, 1);
-        }
-        Ok(ticket)
+        pushed.map(|()| ticket)
     }
 
     /// Non-blocking submission; fails fast under backpressure. The query's
     /// deadline, if any, derives from the configured SLO. A result-cache hit
     /// resolves immediately and never touches the queue.
     pub fn try_submit(&self, query: Vec<f32>) -> Result<Ticket, SubmitError> {
-        match self.admit(query, None)? {
-            Admission::Resolved(ticket) => Ok(ticket),
-            Admission::Enqueue(request, ticket) => self.push(request, ticket),
-        }
+        self.submit_inner(query, None, false)
     }
 
     /// Non-blocking submission with an explicit latency budget: the query's
@@ -624,18 +758,12 @@ impl QueryEngine {
         query: Vec<f32>,
         budget: Duration,
     ) -> Result<Ticket, SubmitError> {
-        match self.admit(query, Some(budget))? {
-            Admission::Resolved(ticket) => Ok(ticket),
-            Admission::Enqueue(request, ticket) => self.push(request, ticket),
-        }
+        self.submit_inner(query, Some(budget), false)
     }
 
     /// Blocking submission; waits for queue space (closed-loop clients).
     pub fn submit(&self, query: Vec<f32>) -> Result<Ticket, SubmitError> {
-        match self.admit(query, None)? {
-            Admission::Resolved(ticket) => Ok(ticket),
-            Admission::Enqueue(request, ticket) => self.enqueue_blocking(request, ticket),
-        }
+        self.submit_inner(query, None, true)
     }
 
     /// Blocking submission with an explicit latency budget (see
@@ -645,10 +773,7 @@ impl QueryEngine {
         query: Vec<f32>,
         budget: Duration,
     ) -> Result<Ticket, SubmitError> {
-        match self.admit(query, Some(budget))? {
-            Admission::Resolved(ticket) => Ok(ticket),
-            Admission::Enqueue(request, ticket) => self.enqueue_blocking(request, ticket),
-        }
+        self.submit_inner(query, Some(budget), true)
     }
 
     /// Queries rejected by backpressure so far.
@@ -659,7 +784,7 @@ impl QueryEngine {
     /// The workers' current modeled per-query service time (µs) — the value
     /// deadline shedding compares remaining budgets against.
     pub fn service_estimate_us(&self) -> f64 {
-        self.estimate.get_us()
+        self.queue.estimate.get_us()
     }
 
     /// The result cache the engine consults, if one is attached.
@@ -709,389 +834,180 @@ impl QueryEngine {
     /// Graceful shutdown: stops admissions, drains queued queries, joins all
     /// threads, and returns the final report.
     pub fn shutdown(mut self) -> ServeReport {
-        // Closing the submit channel lets the batcher drain and exit; the
-        // batcher closing the batch channel lets the workers drain and exit.
-        drop(self.submit_tx.take());
-        if let Some(batcher) = self.batcher.take() {
-            batcher.join().expect("batcher thread panicked");
-        }
+        self.queue.close();
         for worker in self.workers.drain(..) {
             worker.join().expect("worker thread panicked");
         }
-        let wall_seconds = self.started.elapsed().as_secs_f64();
-        let collector = self.metrics.lock().expect("metrics lock");
-        let report = ServeReport::from_collector(
-            self.backend_name.clone(),
-            &collector,
-            wall_seconds,
-            self.rejected.load(Ordering::Relaxed),
-            self.config.slo_us,
-        );
-        let report = match &self.cache {
-            Some(cache) => report.with_cache_report(CacheReport::new(
-                &collector,
-                &cache.stats(),
-                self.cache_misses.load(Ordering::Relaxed),
-            )),
-            None => report,
-        };
-        match &self.telemetry {
-            Some(registry) => report.with_stage_report(registry.stage_report()),
-            None => report,
-        }
+        self.report()
     }
 }
 
-/// Everything the batcher thread needs, bundled so the spawn site stays
-/// readable as the engine grows (policies, shared state, telemetry).
-struct BatcherCtx {
-    policy: BatchPolicy,
-    admission: AdmissionPolicy,
-    queue_depth: usize,
-    estimate: Arc<ServiceEstimate>,
-    metrics: Arc<Mutex<MetricsCollector>>,
-    telemetry: Option<Arc<TelemetryRegistry>>,
-}
-
-/// The batcher loop: forms batches under the max-size / max-wait policy,
-/// sheds queries that can no longer meet their deadline, and picks batch
-/// members FIFO or earliest-deadline-first.
-fn run_batcher(submit_rx: Receiver<Request>, batch_tx: SyncSender<Vec<Request>>, ctx: BatcherCtx) {
-    let BatcherCtx {
-        policy,
-        admission,
-        queue_depth,
-        estimate,
-        metrics,
-        telemetry,
-    } = ctx;
-    let sink = telemetry.as_ref().map(|t| t.sink());
-    // Stamp every pull from the submit queue: the queue-depth gauge tracks
-    // occupancy, and a sampled request records when the batcher first saw
-    // it (the queue_wait -> batch_form boundary).
-    let pull = |req: &mut Request| {
-        if let Some(registry) = &telemetry {
-            registry.add_gauge(Gauge::QueueDepth, -1);
-            if req.sampled {
-                req.t_picked = Instant::now();
-            }
-        }
-    };
-    // Queries pulled from the channel but not yet dispatched (EDF pickup can
-    // leave lower-urgency queries behind for the next batch).
-    let mut pending: VecDeque<Request> = VecDeque::new();
-    // Deadline shedding and EDF only act on queries they can see, so those
-    // modes buffer up to one queue_depth here in addition to the channel —
-    // admission is then bounded by 2x queue_depth. Plain FIFO gains nothing
-    // from look-ahead, so it keeps the channel as the only queue and
-    // backpressure semantics identical to a max_batch-bounded batcher.
-    let look_ahead = if admission.deadline_shedding || policy.pickup != PickupOrder::Fifo {
-        queue_depth.max(policy.max_batch_size)
-    } else {
-        policy.max_batch_size
-    };
-    let mut open = true;
-    while open || !pending.is_empty() {
-        if pending.is_empty() {
-            // Block for the first query of the next batch.
-            match submit_rx.recv() {
-                Ok(mut req) => {
-                    pull(&mut req);
-                    pending.push_back(req);
-                }
-                Err(_) => {
-                    open = false; // engine shut down, channel drained
-                    continue;
-                }
-            }
-        }
-        // Fill window: wait up to max_wait for co-batched work.
-        let window_end = Instant::now() + policy.max_wait;
-        while open && pending.len() < policy.max_batch_size {
-            let now = Instant::now();
-            if now >= window_end {
-                break;
-            }
-            match submit_rx.recv_timeout(window_end - now) {
-                Ok(mut req) => {
-                    pull(&mut req);
-                    pending.push_back(req);
-                }
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
-                    open = false;
-                    break;
-                }
-            }
-        }
-        // Opportunistic drain (no waiting): pull already-queued work up to
-        // the look-ahead bound so shedding sees waiting queries and the
-        // pickup policy chooses among them, not just the first max_batch
-        // arrivals.
-        while open && pending.len() < look_ahead {
-            match submit_rx.try_recv() {
-                Ok(mut req) => {
-                    pull(&mut req);
-                    pending.push_back(req);
-                }
-                Err(std::sync::mpsc::TryRecvError::Empty) => break,
-                Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                    open = false;
-                    break;
-                }
-            }
-        }
-
-        // Early shedding: a query whose remaining budget is below the
-        // modeled service time cannot meet its deadline — resolving it now
-        // costs nothing and frees backend capacity for queries that can.
-        if admission.deadline_shedding {
-            let est = Duration::from_secs_f64(estimate.get_us().max(0.0) / 1e6);
-            let now = Instant::now();
-            let mut kept = VecDeque::with_capacity(pending.len());
-            let mut shed = Vec::new();
-            for req in pending.drain(..) {
-                match req.deadline {
-                    Some(deadline) if now + est >= deadline => shed.push(req),
-                    _ => kept.push_back(req),
-                }
-            }
-            pending = kept;
-            if !shed.is_empty() {
-                let mut collector = metrics.lock().expect("metrics lock");
-                collector.record_shed(shed.len() as u64);
-                drop(collector);
-                for req in shed {
-                    if let Some(sink) = &sink {
-                        if req.sampled {
-                            let done = Instant::now();
-                            sink.record_range(Stage::Submit, req.id, req.submitted, req.t_enqueued);
-                            sink.record_range(
-                                Stage::QueueWait,
-                                req.id,
-                                req.t_enqueued,
-                                req.t_picked,
-                            );
-                            sink.record_range(Stage::Shed, req.id, req.t_picked, done);
-                            sink.record_range(Stage::Wall, req.id, req.submitted, done);
-                        }
-                    }
-                    req.resolve_empty(QueryStatus::Shed, 0, None);
-                }
-            }
-            if pending.is_empty() {
-                continue;
-            }
-        }
-
-        // Pickup: choose which pending queries form this batch.
-        let take = pending.len().min(policy.max_batch_size);
-        let batch: Vec<Request> = match policy.pickup {
-            PickupOrder::Fifo => pending.drain(..take).collect(),
-            PickupOrder::EarliestDeadlineFirst => {
-                let mut all: Vec<Request> = pending.drain(..).collect();
-                // Stable sort: no-deadline queries go last, keeping arrival
-                // order among themselves and among equal deadlines.
-                all.sort_by(|a, b| match (a.deadline, b.deadline) {
-                    (Some(x), Some(y)) => x.cmp(&y),
-                    (Some(_), None) => std::cmp::Ordering::Less,
-                    (None, Some(_)) => std::cmp::Ordering::Greater,
-                    (None, None) => std::cmp::Ordering::Equal,
-                });
-                let rest = all.split_off(take);
-                pending.extend(rest);
-                all
-            }
-        };
-
-        // Blocking send: when workers lag this stalls the batcher and, in
-        // turn, fills the submit queue — end-to-end backpressure.
-        let mut batch = batch;
-        if let Some(registry) = &telemetry {
-            registry.add_gauge(Gauge::InFlight, batch.len() as i64);
-            registry.set_gauge(Gauge::BatchSize, batch.len() as i64);
-            let dispatched = Instant::now();
-            for req in &mut batch {
-                if req.sampled {
-                    req.t_dispatched = dispatched;
-                }
-            }
-        }
-        if batch_tx.send(batch).is_err() {
-            return;
-        }
+impl Drop for QueryEngine {
+    /// An engine dropped without [`QueryEngine::shutdown`] still closes its
+    /// queue, so the (now detached) workers drain what was accepted and exit
+    /// instead of sleeping on it forever.
+    fn drop(&mut self) {
+        self.queue.close();
     }
 }
 
-/// Everything a worker thread needs, bundled like [`BatcherCtx`].
+/// Everything a worker thread needs, bundled so the spawn site stays
+/// readable (shared state, policies, telemetry).
 struct WorkerCtx {
     backend: Arc<dyn SearchBackend>,
-    batch_rx: Arc<Mutex<Receiver<Vec<Request>>>>,
+    queue: Arc<AdmissionQueue>,
     metrics: Arc<Mutex<MetricsCollector>>,
-    estimate: Arc<ServiceEstimate>,
     cache: Option<Arc<QueryResultCache>>,
     slo_us: Option<f64>,
-    telemetry: Option<Arc<TelemetryRegistry>>,
+    /// This worker's span sink; `Some` exactly when the queue has a registry.
     sink: Option<TelemetrySink>,
 }
 
-/// Emits the telescoping per-query path spans for one resolved request.
-/// Every boundary instant is shared with the adjacent stage, so the stage
-/// durations partition `submitted..done` exactly and the stage breakdown
-/// reconciles with wall latency by construction. `terminal` is
-/// [`Stage::Reply`] for completions and [`Stage::Failed`] for batch
-/// failures.
-fn emit_path_spans(
-    sink: &TelemetrySink,
-    req: &Request,
-    service_start: Instant,
-    service_end: Instant,
-    terminal: Stage,
-    done: Instant,
-) {
-    sink.record_range(Stage::Submit, req.id, req.submitted, req.t_enqueued);
-    sink.record_range(Stage::QueueWait, req.id, req.t_enqueued, req.t_picked);
-    sink.record_range(Stage::BatchForm, req.id, req.t_picked, req.t_dispatched);
-    sink.record_range(Stage::DispatchWait, req.id, req.t_dispatched, service_start);
-    sink.record_range(Stage::Service, req.id, service_start, service_end);
-    sink.record_range(terminal, req.id, service_end, done);
-    sink.record_range(Stage::Wall, req.id, req.submitted, done);
-}
+impl WorkerCtx {
+    /// A worker loop: takes the next batch the moment it is free, resolves
+    /// what the pickup shed, executes the batch and delivers replies.
+    fn run(self) {
+        while let Some(Pickup { batch, shed }) = self.queue.next_pickup() {
+            self.resolve_shed(shed);
+            if !batch.is_empty() {
+                self.serve(batch);
+            }
+        }
+    }
 
-/// A worker loop: executes batches on the backend and delivers replies.
-fn run_worker(ctx: WorkerCtx) {
-    let WorkerCtx {
-        backend,
-        batch_rx,
-        metrics,
-        estimate,
-        cache,
-        slo_us,
-        telemetry,
-        sink,
-    } = ctx;
-    loop {
-        // Hold the lock only while receiving so workers pull batches
-        // round-robin without serialising backend execution.
-        let batch = {
-            let rx = batch_rx.lock().expect("batch queue lock");
-            rx.recv()
-        };
-        let batch = match batch {
-            Ok(b) => b,
-            Err(_) => return, // batcher gone and queue drained
-        };
+    fn resolve_shed(&self, shed: Vec<Request>) {
+        if shed.is_empty() {
+            return;
+        }
+        let mut collector = self.metrics.lock().expect("metrics lock");
+        collector.record_shed(shed.len() as u64);
+        drop(collector);
+        for req in shed {
+            if let Some(sink) = self.sink.as_ref().filter(|_| req.sampled) {
+                let done = Instant::now();
+                sink.record_range(Stage::Submit, req.id, req.submitted, req.t_enqueued);
+                sink.record_range(Stage::QueueWait, req.id, req.t_enqueued, req.t_picked);
+                sink.record_range(Stage::Shed, req.id, req.t_picked, done);
+                sink.record_range(Stage::Wall, req.id, req.submitted, done);
+            }
+            req.resolve_empty(QueryStatus::Shed, 0, None);
+        }
+    }
 
+    fn serve(&self, batch: Vec<Request>) {
         let batch_size = batch.len();
+        if let Some(registry) = &self.queue.telemetry {
+            registry.add_gauge(Gauge::InFlight, batch_size as i64);
+            registry.set_gauge(Gauge::BatchSize, batch_size as i64);
+        }
         let queries: Vec<&[f32]> = batch.iter().map(|r| r.query.as_slice()).collect();
         // Mark the thread so nested recorders (backend sub-stages, shard
         // workers, replica sets) trace exactly the batches the engine
         // sampled, instead of self-sampling on their own cadence.
-        let any_sampled = sink.is_some() && batch.iter().any(|r| r.sampled);
-        if sink.is_some() {
-            telemetry::set_batch_traced(any_sampled);
+        if self.sink.is_some() {
+            telemetry::set_batch_traced(batch.iter().any(|r| r.sampled));
         }
         let service_start = Instant::now();
-        let outcome = backend.try_search_batch(&queries);
+        let outcome = self.backend.try_search_batch(&queries);
         let service_end = Instant::now();
-        if sink.is_some() {
+        if self.sink.is_some() {
             telemetry::clear_batch_traced();
         }
         let service_us = (service_end - service_start).as_secs_f64() * 1e6;
+        // The telescoping path spans of one resolved request: every boundary
+        // instant is shared with the adjacent stage, so the stage durations
+        // partition `submitted..done` exactly and the breakdown reconciles
+        // with wall latency by construction. `terminal` is `Reply` for
+        // completions and `Failed` for batch failures.
+        let emit_spans = |req: &Request, terminal: Stage| {
+            if let Some(sink) = self.sink.as_ref().filter(|_| req.sampled) {
+                let done = Instant::now();
+                sink.record_range(Stage::Submit, req.id, req.submitted, req.t_enqueued);
+                sink.record_range(Stage::QueueWait, req.id, req.t_enqueued, req.t_picked);
+                sink.record_range(Stage::BatchForm, req.id, req.t_picked, service_start);
+                sink.record_range(Stage::Service, req.id, service_start, service_end);
+                sink.record_range(terminal, req.id, service_end, done);
+                sink.record_range(Stage::Wall, req.id, req.submitted, done);
+            }
+        };
 
-        let responses = match outcome {
-            Ok(responses) => responses,
+        match outcome {
+            Ok(responses) => {
+                // A backend returning the wrong arity must fail loudly: a
+                // silent zip truncation would drop the tail requests' replies
+                // and break the "every accepted query is accounted for"
+                // guarantee.
+                assert_eq!(
+                    responses.len(),
+                    batch_size,
+                    "backend returned {} responses for a batch of {batch_size}",
+                    responses.len()
+                );
+                self.queue
+                    .estimate
+                    .observe_us(service_us / batch_size as f64);
+
+                let completed = Instant::now();
+                {
+                    // Metrics only under the shared lock; cache fills and
+                    // reply sends (clones, cache-shard locks) happen after it
+                    // is released so submitters and sibling workers are not
+                    // serialized behind this batch's delivery.
+                    let mut collector = self.metrics.lock().expect("metrics lock");
+                    collector.record_batch(batch_size, service_us);
+                    for (request, response) in batch.iter().zip(&responses) {
+                        let wall_us = (completed - request.submitted).as_secs_f64() * 1e6;
+                        let queue_us = (service_start - request.submitted).as_secs_f64() * 1e6;
+                        collector.record_query(
+                            wall_us,
+                            queue_us,
+                            response.simulated_us,
+                            self.slo_us,
+                        );
+                    }
+                }
+                for (request, response) in batch.into_iter().zip(responses) {
+                    let wall_us = (completed - request.submitted).as_secs_f64() * 1e6;
+                    let queue_us = (service_start - request.submitted).as_secs_f64() * 1e6;
+                    // Fill the result cache so the next identical query
+                    // short-circuits at admission — before the reply is
+                    // delivered, so a client that waits on its ticket and
+                    // resubmits the same query is guaranteed a hit. The
+                    // insert checks the key's generation, so an answer
+                    // computed against a since-swapped index is dropped.
+                    if let (Some(cache), Some(key)) = (&self.cache, &request.cache_key) {
+                        cache.insert(key, response.results.clone());
+                    }
+                    // The client may have dropped its ticket; that is fine.
+                    let _ = request.reply_tx.send(QueryReply {
+                        id: request.id,
+                        status: QueryStatus::Completed,
+                        results: response.results,
+                        latency_us: wall_us,
+                        queue_us,
+                        batch_size,
+                        simulated_us: response.simulated_us,
+                    });
+                    // Spans are stamped after the send, so the reply stage
+                    // covers the full delivery (cache fill included).
+                    emit_spans(&request, Stage::Reply);
+                }
+            }
             Err(_) => {
                 // The whole batch failed (e.g. every replica down). Resolve
                 // every ticket as Failed — accepted queries are never
                 // silently dropped — and keep serving later batches.
-                let mut collector = metrics.lock().expect("metrics lock");
+                let mut collector = self.metrics.lock().expect("metrics lock");
                 collector.record_failed(batch_size as u64);
                 drop(collector);
                 for request in batch {
                     let queue_us = (service_start - request.submitted).as_secs_f64() * 1e6;
-                    if let Some(sink) = &sink {
-                        if request.sampled {
-                            emit_path_spans(
-                                sink,
-                                &request,
-                                service_start,
-                                service_end,
-                                Stage::Failed,
-                                Instant::now(),
-                            );
-                        }
-                    }
+                    emit_spans(&request, Stage::Failed);
                     request.resolve_empty(QueryStatus::Failed, batch_size, Some(queue_us));
                 }
-                if let Some(registry) = &telemetry {
-                    registry.add_gauge(Gauge::InFlight, -(batch_size as i64));
-                }
-                continue;
-            }
-        };
-        // A backend returning the wrong arity must fail loudly: a silent zip
-        // truncation would drop the tail requests' replies and break the
-        // "every accepted query is accounted for" guarantee.
-        assert_eq!(
-            responses.len(),
-            batch_size,
-            "backend returned {} responses for a batch of {batch_size}",
-            responses.len()
-        );
-        estimate.observe_us(service_us / batch_size.max(1) as f64);
-
-        let completed = Instant::now();
-        {
-            // Metrics only under the shared lock; cache fills and reply
-            // sends (clones, cache-shard locks) happen after it is released
-            // so submitters and sibling workers are not serialized behind
-            // this batch's delivery.
-            let mut collector = metrics.lock().expect("metrics lock");
-            collector.record_batch(batch_size, service_us);
-            for (request, response) in batch.iter().zip(&responses) {
-                let wall_us = (completed - request.submitted).as_secs_f64() * 1e6;
-                let queue_us = (service_start - request.submitted).as_secs_f64() * 1e6;
-                collector.record_query(wall_us, queue_us, response.simulated_us, slo_us);
             }
         }
-        for (request, response) in batch.into_iter().zip(responses) {
-            let wall_us = (completed - request.submitted).as_secs_f64() * 1e6;
-            let queue_us = (service_start - request.submitted).as_secs_f64() * 1e6;
-            // Fill the result cache so the next identical query short-
-            // circuits at admission — before the reply is delivered, so a
-            // client that waits on its ticket and resubmits the same query
-            // is guaranteed a hit. The insert checks the key's generation,
-            // so an answer computed against a since-swapped index is dropped.
-            if let (Some(cache), Some(key)) = (&cache, &request.cache_key) {
-                cache.insert(key, response.results.clone());
-            }
-            // The client may have dropped its ticket; that is fine.
-            let _ = request.reply_tx.send(QueryReply {
-                id: request.id,
-                status: QueryStatus::Completed,
-                results: response.results,
-                latency_us: wall_us,
-                queue_us,
-                batch_size,
-                simulated_us: response.simulated_us,
-            });
-            // Spans are stamped after the send, so the reply stage covers
-            // the full delivery (cache fill included).
-            if let Some(sink) = &sink {
-                if request.sampled {
-                    emit_path_spans(
-                        sink,
-                        &request,
-                        service_start,
-                        service_end,
-                        Stage::Reply,
-                        Instant::now(),
-                    );
-                }
-            }
-        }
-        if let Some(registry) = &telemetry {
+        if let Some(registry) = &self.queue.telemetry {
             registry.add_gauge(Gauge::InFlight, -(batch_size as i64));
         }
     }
@@ -1127,17 +1043,23 @@ mod tests {
             if !self.service.is_zero() {
                 std::thread::sleep(self.service);
             }
-            queries
-                .iter()
-                .map(|q| BackendResponse {
-                    results: vec![SearchResult {
-                        id: q[0] as u32,
-                        distance: q[0],
-                    }],
-                    simulated_us: Some(1.0),
-                })
-                .collect()
+            echo(queries, Some(1.0))
         }
+    }
+
+    /// Every toy backend's answer: the query's first component as both the
+    /// hit id and its distance.
+    fn echo(queries: &[&[f32]], simulated_us: Option<f64>) -> Vec<BackendResponse> {
+        queries
+            .iter()
+            .map(|q| BackendResponse {
+                results: vec![SearchResult {
+                    id: q[0] as u32,
+                    distance: q[0],
+                }],
+                simulated_us,
+            })
+            .collect()
     }
 
     fn toy_engine(service: Duration, config: EngineConfig) -> QueryEngine {
@@ -1244,11 +1166,11 @@ mod tests {
 
     #[test]
     fn fifo_backpressure_is_bounded_without_shedding() {
-        // FIFO with no shedding must keep the submit channel as the only
-        // queue: the batcher may not hoard arrivals in its pending pool, so
-        // a saturated engine rejects even a slow trickle of submissions
-        // (a greedy unbounded drain would keep the channel empty and accept
-        // everything, unboundedly).
+        // The admission queue is the only place accepted queries wait: a
+        // busy worker may not hoard arrivals outside it, so a saturated
+        // engine rejects even a slow trickle of submissions (anything that
+        // drained the queue ahead of the worker would keep it from ever
+        // filling and accept everything, unboundedly).
         let engine = toy_engine(
             Duration::from_millis(50),
             EngineConfig::new(BatchPolicy::new(1, Duration::ZERO))
@@ -1258,8 +1180,8 @@ mod tests {
         let mut accepted = Vec::new();
         let mut rejections = 0u64;
         for i in 0..32 {
-            // Slow enough that a channel-draining batcher would always win
-            // the race and never leave the channel full.
+            // Slow enough that anything draining the queue ahead of the
+            // worker would always win the race and never leave it full.
             std::thread::sleep(Duration::from_micros(200));
             match engine.try_submit(vec![i as f32, 0.0]) {
                 Ok(t) => accepted.push(t),
@@ -1350,12 +1272,11 @@ mod tests {
 
     #[test]
     fn edf_pickup_serves_urgent_queries_first() {
-        // One worker at 30 ms/batch, batch queue depth workers*2 = 2. The
-        // prime + filler submissions keep the batcher blocked on a full
-        // batch queue, so the relaxed and urgent queries accumulate in the
-        // submit channel. When the batcher unblocks it drains both and EDF
-        // must dispatch the urgent one (tighter absolute deadline) first,
-        // even though the relaxed one arrived earlier.
+        // One worker at 30 ms/batch, batches of one. The fillers keep the
+        // worker busy, so the relaxed and urgent queries accumulate in the
+        // queue behind them. At its next pickup EDF must dispatch the urgent
+        // one (tighter absolute deadline) first, even though the relaxed one
+        // arrived earlier, and both before the deadline-less fillers.
         let engine = toy_engine(
             Duration::from_millis(30),
             EngineConfig::new(
@@ -1469,16 +1390,7 @@ mod tests {
             }
             fn search_batch(&self, queries: &[&[f32]]) -> Vec<BackendResponse> {
                 self.served.fetch_add(queries.len(), Ordering::Relaxed);
-                queries
-                    .iter()
-                    .map(|q| BackendResponse {
-                        results: vec![SearchResult {
-                            id: q[0] as u32,
-                            distance: q[0],
-                        }],
-                        simulated_us: None,
-                    })
-                    .collect()
+                echo(queries, None)
             }
         }
 
@@ -1579,5 +1491,261 @@ mod tests {
             attainment > 0.99,
             "10 s SLO should always be met: {attainment}"
         );
+    }
+    /// A backend the test holds shut: every `search_batch` call announces
+    /// the batch it was handed (each query's first component) and then
+    /// blocks until the test lets one batch through.
+    struct GatedBackend {
+        entered: Mutex<Sender<Vec<u32>>>,
+        release: Mutex<Receiver<()>>,
+    }
+
+    /// The test's side of a [`GatedBackend`]. Dropping it opens the gate for
+    /// good.
+    struct Gate {
+        entered: Receiver<Vec<u32>>,
+        release: Sender<()>,
+    }
+
+    impl Gate {
+        /// Blocks until a worker is latched inside the backend; returns the
+        /// batch it holds.
+        fn entered(&self) -> Vec<u32> {
+            self.entered
+                .recv_timeout(Duration::from_secs(30))
+                .expect("a worker enters the backend")
+        }
+
+        /// Lets the longest-latched batch finish.
+        fn release_one(&self) {
+            self.release.send(()).expect("backend alive");
+        }
+    }
+
+    impl SearchBackend for GatedBackend {
+        fn name(&self) -> String {
+            "gated".into()
+        }
+
+        fn dim(&self) -> usize {
+            2
+        }
+
+        fn k(&self) -> usize {
+            1
+        }
+
+        fn search_batch(&self, queries: &[&[f32]]) -> Vec<BackendResponse> {
+            let ids = queries.iter().map(|q| q[0] as u32).collect();
+            // Either side of the gate may be gone once the test opened it.
+            let _ = self.entered.lock().unwrap().send(ids);
+            let _ = self.release.lock().unwrap().recv();
+            echo(queries, None)
+        }
+    }
+
+    fn gated_engine(config: EngineConfig) -> (QueryEngine, Gate) {
+        let (entered_tx, entered_rx) = channel();
+        let (release_tx, release_rx) = channel();
+        let backend = GatedBackend {
+            entered: Mutex::new(entered_tx),
+            release: Mutex::new(release_rx),
+        };
+        let gate = Gate {
+            entered: entered_rx,
+            release: release_tx,
+        };
+        (QueryEngine::start(Arc::new(backend), config), gate)
+    }
+
+    fn query(id: u32) -> Vec<f32> {
+        vec![id as f32, 0.0]
+    }
+
+    #[test]
+    fn an_idle_worker_dispatches_a_lone_query_at_once() {
+        // The wait bound is accepted and ignored: nothing holds a query back
+        // for co-batched work while a worker is free.
+        let engine = toy_engine(
+            Duration::ZERO,
+            EngineConfig::new(BatchPolicy::new(8, Duration::from_secs(5))).with_workers(1),
+        );
+        let started = Instant::now();
+        let reply = engine.submit(query(7)).unwrap().wait().unwrap();
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "a lone query waited {:?} on an idle engine",
+            started.elapsed()
+        );
+        assert_eq!(reply.status, QueryStatus::Completed);
+        assert_eq!(reply.batch_size, 1);
+        engine.shutdown();
+    }
+
+    #[test]
+    fn queries_queued_behind_a_busy_worker_form_one_batch() {
+        let (engine, gate) =
+            gated_engine(EngineConfig::new(BatchPolicy::new(4, Duration::ZERO)).with_workers(1));
+        let mut tickets = vec![engine.submit(query(0)).unwrap()];
+        assert_eq!(gate.entered(), [0], "the idle worker takes the first alone");
+        // Fewer than the cap: the free worker takes all of them together.
+        tickets.extend((1..=3).map(|i| engine.submit(query(i)).unwrap()));
+        gate.release_one();
+        assert_eq!(gate.entered(), [1, 2, 3]);
+        // More than the cap: a full batch, then the remainder.
+        tickets.extend((4..=9).map(|i| engine.submit(query(i)).unwrap()));
+        gate.release_one();
+        assert_eq!(gate.entered(), [4, 5, 6, 7]);
+        gate.release_one();
+        assert_eq!(gate.entered(), [8, 9]);
+        drop(gate);
+        let sizes: Vec<usize> = tickets
+            .into_iter()
+            .map(|t| t.wait().unwrap().batch_size)
+            .collect();
+        assert_eq!(sizes, [1, 3, 3, 3, 4, 4, 4, 4, 2, 2]);
+        assert_eq!(engine.shutdown().queries, 10);
+    }
+
+    #[test]
+    fn admission_is_bounded_by_queue_depth_in_every_mode() {
+        let fifo = BatchPolicy::new(2, Duration::ZERO);
+        let edf = fifo.with_pickup(PickupOrder::EarliestDeadlineFirst);
+        let modes = [
+            ("fifo", EngineConfig::new(fifo)),
+            ("edf", EngineConfig::new(edf)),
+            (
+                "shedding",
+                EngineConfig::new(fifo)
+                    .with_slo_us(600e6)
+                    .with_deadline_shedding(),
+            ),
+        ];
+        for (mode, config) in modes {
+            let (engine, gate) = gated_engine(config.with_workers(1).with_queue_depth(5));
+            let mut tickets = vec![engine.try_submit(query(0)).unwrap()];
+            gate.entered(); // the worker holds query 0; the queue is empty
+            for i in 1..=5 {
+                let accepted = engine.try_submit(query(i));
+                assert!(accepted.is_ok(), "{mode}: query {i} fits the queue");
+                tickets.extend(accepted);
+            }
+            assert_eq!(
+                engine.try_submit(query(6)).unwrap_err(),
+                SubmitError::QueueFull,
+                "{mode}: the queue holds exactly queue_depth queries"
+            );
+            assert_eq!(engine.rejected(), 1, "{mode}");
+            drop(gate);
+            for ticket in tickets {
+                assert_eq!(ticket.wait().unwrap().status, QueryStatus::Completed);
+            }
+            let report = engine.shutdown();
+            assert_eq!((report.queries, report.rejected), (6, 1), "{mode}");
+        }
+    }
+
+    #[test]
+    fn a_blocked_submit_resumes_when_a_pickup_frees_room() {
+        let (engine, gate) = gated_engine(
+            EngineConfig::new(BatchPolicy::new(2, Duration::ZERO))
+                .with_workers(1)
+                .with_queue_depth(2),
+        );
+        let mut tickets = vec![engine.submit(query(0)).unwrap()];
+        assert_eq!(gate.entered(), [0]);
+        // The worker is latched; these two fill the queue.
+        tickets.extend((1..=2).map(|i| engine.submit(query(i)).unwrap()));
+        std::thread::scope(|scope| {
+            let blocked = scope.spawn(|| engine.submit(query(3)).unwrap());
+            while engine.queue.lock().blocked_submitters != 1 {
+                std::thread::yield_now();
+            }
+            assert_eq!(engine.rejected(), 0, "a blocking submit is not a rejection");
+            gate.release_one();
+            assert_eq!(gate.entered(), [1, 2]);
+            // The pickup made room, so the submit returns while the worker
+            // is still latched on the batch that made it.
+            let ticket = blocked.join().unwrap();
+            drop(gate);
+            assert_eq!(ticket.wait().unwrap().status, QueryStatus::Completed);
+        });
+        for ticket in tickets {
+            assert_eq!(ticket.wait().unwrap().status, QueryStatus::Completed);
+        }
+        assert_eq!(engine.shutdown().queries, 4);
+    }
+
+    #[test]
+    fn edf_and_shedding_see_the_whole_queue() {
+        let policy =
+            BatchPolicy::new(2, Duration::ZERO).with_pickup(PickupOrder::EarliestDeadlineFirst);
+        let (engine, gate) = gated_engine(
+            EngineConfig::new(policy)
+                .with_workers(1)
+                .with_deadline_shedding(),
+        );
+        let first = engine.submit(query(0)).unwrap();
+        gate.entered();
+        // Behind the busy worker, in arrival order: four relaxed queries,
+        // then one whose budget is already spent, then the most urgent.
+        let budgets_s = [600, 500, 400, 300, 0, 100];
+        let tickets: Vec<Ticket> = (1u32..)
+            .zip(budgets_s)
+            .map(|(id, secs)| {
+                engine
+                    .submit_with_budget(query(id), Duration::from_secs(secs))
+                    .unwrap()
+            })
+            .collect();
+        // One pickup of two must reach past the first two arrivals: it
+        // sheds arrival 5 and serves arrivals 6 and 4.
+        gate.release_one();
+        assert_eq!(gate.entered(), [6, 4]);
+        gate.release_one();
+        assert_eq!(gate.entered(), [3, 2]);
+        gate.release_one();
+        assert_eq!(gate.entered(), [1]);
+        drop(gate);
+        assert_eq!(first.wait().unwrap().status, QueryStatus::Completed);
+        for (ticket, secs) in tickets.into_iter().zip(budgets_s) {
+            let expected = match secs {
+                0 => QueryStatus::Shed,
+                _ => QueryStatus::Completed,
+            };
+            assert_eq!(ticket.wait().unwrap().status, expected, "budget {secs} s");
+        }
+        let report = engine.shutdown();
+        assert_eq!((report.queries, report.shed), (6, 1));
+    }
+
+    #[test]
+    fn shutdown_drains_the_queue_past_latched_and_parked_workers() {
+        let (engine, gate) =
+            gated_engine(EngineConfig::new(BatchPolicy::new(4, Duration::ZERO)).with_workers(2));
+        let mut tickets = vec![engine.submit(query(0)).unwrap()];
+        assert_eq!(gate.entered(), [0]);
+        // One worker is latched; the other has nothing to do and parks.
+        while engine.queue.lock().parked_workers != 1 {
+            std::thread::yield_now();
+        }
+        // The parked worker wakes for these and is latched in turn with up
+        // to four of them; the rest wait with no free worker.
+        tickets.extend((1..=9).map(|i| engine.submit(query(i)).unwrap()));
+        let second = gate.entered();
+        assert!((1..=4).contains(&second.len()), "second batch {second:?}");
+        // Admissions close with work still queued and both workers busy;
+        // only then does the backend let anything through.
+        engine.queue.close();
+        assert_eq!(
+            engine.try_submit(query(10)).unwrap_err(),
+            SubmitError::ShuttingDown
+        );
+        drop(gate);
+        let report = engine.shutdown();
+        assert_eq!(report.queries, 10);
+        for ticket in tickets {
+            assert_eq!(ticket.wait().unwrap().status, QueryStatus::Completed);
+        }
     }
 }

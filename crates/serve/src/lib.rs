@@ -12,10 +12,11 @@
 //!   before admission (exact / quantized / cell-signature fingerprints,
 //!   TTL + generation invalidation) and the centroid/LUT cache inside the
 //!   CPU backend that memoizes coarse-quantizer work for repeated queries,
-//! * [`engine`] — the multi-threaded [`QueryEngine`]: bounded admission
-//!   queue, dynamic batcher (max-batch-size / max-wait), deadline-aware
-//!   early shedding and earliest-deadline-first pickup, worker pool,
-//!   end-to-end backpressure, graceful shutdown,
+//! * [`engine`] — the multi-threaded [`QueryEngine`]: one bounded admission
+//!   queue that a worker pool drains into batches itself (work-conserving,
+//!   no scheduler thread), deadline-aware early shedding and
+//!   earliest-deadline-first pickup over the whole queue, exact
+//!   backpressure, graceful shutdown,
 //! * [`dispatch`] — the sharded scatter/gather dispatcher with the paper's
 //!   LogGP network cost charged per distributed query,
 //! * [`replica`] — the [`ReplicaSet`]: R replicas per shard behind

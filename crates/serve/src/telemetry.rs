@@ -5,11 +5,11 @@
 //! "the system is slow" into "ADC scan is 62 % of the pipeline, so that is
 //! the stage worth accelerating". This module brings the same discipline to
 //! the live serving path. Every sampled query emits one [`SpanEvent`] per
-//! lifecycle stage — submit, queue wait, batch formation, dispatch wait,
-//! backend service, reply delivery (or shed/failure), plus backend
-//! sub-stages (coarse quantization, LUT build, ADC scan) and infrastructure
-//! spans (shard service, replica service, failover) — into a lock-free
-//! bounded ring buffer.
+//! lifecycle stage — submit, queue wait, batch formation, backend service,
+//! reply delivery (or shed/failure), plus backend sub-stages (coarse
+//! quantization, LUT build, ADC scan) and infrastructure spans (shard
+//! service, replica service, failover) — into a lock-free bounded ring
+//! buffer.
 //!
 //! Design constraints, in priority order:
 //!
@@ -62,12 +62,11 @@ pub enum Stage {
     Submit,
     /// A query answered entirely from the result cache (whole wall time).
     CacheHit,
-    /// Waiting in the bounded admission queue for the batcher to pick it up.
+    /// Waiting in the bounded admission queue for a free worker.
     QueueWait,
-    /// Held by the batcher while the batch window fills.
+    /// The pickup: from the instant a worker, holding the queue lock, sheds
+    /// and selects its next batch, to the start of backend service.
     BatchForm,
-    /// Dispatched batch waiting for a worker to start service.
-    DispatchWait,
     /// Backend service interval of the query's batch.
     Service,
     /// Reply delivery: metrics recording, cache fill, channel send.
@@ -108,7 +107,7 @@ pub enum Stage {
 
 impl Stage {
     /// Number of distinct stages (histogram array size).
-    pub const COUNT: usize = 20;
+    pub const COUNT: usize = 19;
 
     /// All stages in display order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -116,7 +115,6 @@ impl Stage {
         Stage::CacheHit,
         Stage::QueueWait,
         Stage::BatchForm,
-        Stage::DispatchWait,
         Stage::Service,
         Stage::Reply,
         Stage::Shed,
@@ -147,7 +145,6 @@ impl Stage {
             Stage::CacheHit => "cache_hit",
             Stage::QueueWait => "queue_wait",
             Stage::BatchForm => "batch_form",
-            Stage::DispatchWait => "dispatch_wait",
             Stage::Service => "service",
             Stage::Reply => "reply",
             Stage::Shed => "shed",
@@ -173,11 +170,11 @@ impl Stage {
 
     /// True for stages whose durations partition a query's wall time.
     ///
-    /// Completed query: submit + queue_wait + batch_form + dispatch_wait +
-    /// service + reply. Shed query: submit + queue_wait + shed. Cache hit:
-    /// cache_hit. Failed query: the completed chain with `failed` as the
-    /// terminal stage. Summing path-stage totals therefore reproduces the
-    /// summed `wall` spans.
+    /// Completed query: submit + queue_wait + batch_form + service + reply.
+    /// Shed query: submit + queue_wait + shed. Cache hit: cache_hit. Failed
+    /// query: the completed chain with `failed` as the terminal stage.
+    /// Summing path-stage totals therefore reproduces the summed `wall`
+    /// spans.
     pub fn is_query_path(self) -> bool {
         matches!(
             self,
@@ -185,7 +182,6 @@ impl Stage {
                 | Stage::CacheHit
                 | Stage::QueueWait
                 | Stage::BatchForm
-                | Stage::DispatchWait
                 | Stage::Service
                 | Stage::Reply
                 | Stage::Shed
@@ -1244,12 +1240,16 @@ mod tests {
         let events = vec![
             event(Stage::Submit, 1, 0.0, 1.0),
             event(Stage::QueueWait, 1, 1.0, 500.0),
-            event(Stage::Service, 1, 501.0, 100.0),
-            event(Stage::Wall, 1, 0.0, 601.0),
+            event(Stage::BatchForm, 1, 501.0, 2.0),
+            event(Stage::Service, 1, 503.0, 100.0),
+            event(Stage::Reply, 1, 603.0, 3.0),
+            event(Stage::Wall, 1, 0.0, 606.0),
             event(Stage::Submit, 2, 0.0, 1.0),
             event(Stage::QueueWait, 2, 1.0, 10.0),
-            event(Stage::Service, 2, 11.0, 800.0),
-            event(Stage::Wall, 2, 0.0, 811.0),
+            event(Stage::BatchForm, 2, 11.0, 2.0),
+            event(Stage::Service, 2, 13.0, 800.0),
+            event(Stage::Reply, 2, 813.0, 3.0),
+            event(Stage::Wall, 2, 0.0, 816.0),
             // Sub-stage events with colliding ordinals must be ignored.
             event(Stage::Scan, 1, 0.0, 1e9),
         ];
@@ -1259,6 +1259,21 @@ mod tests {
         assert_eq!(report.paths[0].query, 2);
         assert_eq!(report.paths[0].dominant, Stage::Service);
         assert_eq!(report.paths[1].dominant, Stage::QueueWait);
+        for path in &report.paths {
+            // The completed chain is five stages that telescope to wall.
+            let stages: Vec<Stage> = path.spans.iter().map(|(s, _)| *s).collect();
+            assert_eq!(
+                stages,
+                [
+                    Stage::Submit,
+                    Stage::QueueWait,
+                    Stage::BatchForm,
+                    Stage::Service,
+                    Stage::Reply
+                ]
+            );
+            assert!((path.path_us - path.wall_us).abs() < 1e-9);
+        }
         let service = report
             .attribution
             .iter()
