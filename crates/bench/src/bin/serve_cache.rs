@@ -1,14 +1,14 @@
 //! Cached-serving sweep: Zipf skew θ × result-cache capacity × offered QPS
-//! over a CPU IVF-PQ backend (with its centroid/LUT cache) behind the
-//! `QueryEngine` and its query-result cache, one JSON row per configuration.
+//! over a CPU IVF-PQ backend behind the `QueryEngine` and its query-result
+//! cache, one JSON row per configuration.
 //!
 //! ```sh
 //! FANNS_SCALE=small cargo run --release --bin serve_cache
 //! ```
 //!
-//! Real serving traffic is Zipf-skewed — repeated and near-duplicate queries
-//! dominate — so a result cache in front of the engine converts the hot set
-//! into sub-microsecond completions that consume no backend capacity and no
+//! Real serving traffic is Zipf-skewed — repeated queries dominate — so a
+//! result cache in front of the engine converts the hot set into
+//! sub-microsecond completions that consume no backend capacity and no
 //! deadline budget. The sweep drives an open-loop Poisson arrival process
 //! whose query choice follows Zipf(θ) over a fixed finite pool, and reports
 //! the cache's hit rate plus the hit-path vs. backend-path latency split.
@@ -73,10 +73,6 @@ struct SweepRow {
     evictions: u64,
     /// Entries written over the run.
     insertions: u64,
-    /// Hit rate of the backend-internal centroid/LUT cache.
-    lut_hit_rate: f64,
-    /// Probe count of the hottest IVF cell over the run.
-    hottest_cell_probes: u64,
     rejected: u64,
 }
 
@@ -131,16 +127,13 @@ fn main() {
     for &capacity in &capacities {
         for &target_qps in &target_qps_grid {
             for &theta in &thetas {
-                // Fresh backend-side LUT cache and result cache per run so
-                // counters, occupancy and hot-cell histograms start clean.
-                let backend =
-                    CpuBackend::new(index.clone(), params).with_centroid_cache(query_pool);
-                let lut_stats_src = Arc::new(backend);
+                // Fresh result cache per run so counters and occupancy start
+                // clean.
                 let result_cache = (capacity > 0)
                     .then(|| Arc::new(QueryResultCache::new(ResultCacheConfig::new(capacity))));
 
                 let engine = QueryEngine::start_with_cache(
-                    Arc::clone(&lut_stats_src) as Arc<dyn fanns_serve::SearchBackend>,
+                    Arc::new(CpuBackend::new(index.clone(), params)),
                     EngineConfig::new(BatchPolicy::new(32, Duration::from_micros(500)))
                         .with_workers(2)
                         .with_queue_depth(4_096)
@@ -156,17 +149,6 @@ fn main() {
                 );
                 let report = engine.shutdown();
 
-                let lut_stats = lut_stats_src
-                    .centroid_cache()
-                    .expect("lut cache enabled")
-                    .stats();
-                let hottest = lut_stats_src
-                    .centroid_cache()
-                    .expect("lut cache enabled")
-                    .hot_cells(1)
-                    .first()
-                    .map(|&(_, n)| n)
-                    .unwrap_or(0);
                 let cache = report.cache.as_ref();
                 let row = SweepRow {
                     backend: report.backend.clone(),
@@ -187,8 +169,6 @@ fn main() {
                     p99_us: report.p99_us,
                     evictions: cache.map(|c| c.evictions).unwrap_or(0),
                     insertions: cache.map(|c| c.insertions).unwrap_or(0),
-                    lut_hit_rate: lut_stats.hit_rate(),
-                    hottest_cell_probes: hottest,
                     rejected: report.rejected,
                 };
                 println!(

@@ -26,7 +26,6 @@ use fanns_ivf::simd::{default_kernel, ScanKernel, ScanScratch};
 use fanns_ivf::source::IvfSource;
 use fanns_ivf::storage::{MappedIndex, StorageError};
 
-use crate::cache::CentroidLutCache;
 use crate::telemetry::{batch_traced, Stage, TelemetrySink};
 
 /// One backend answer: the top-K hits plus, for simulated hardware, the
@@ -103,9 +102,10 @@ pub trait SearchBackend: Send + Sync {
     }
 
     /// Inserts one vector into the served index, returning its assigned id,
-    /// or `None` when the backend is immutable. Mutable backends (see
-    /// [`crate::mutable::MutableBackend`]) make the vector findable by the
-    /// very next search.
+    /// or `None` when the backend is immutable or rejected the vector (a
+    /// wrong dimension). Mutable backends (see
+    /// [`crate::mutable::MutableBackend`]) make an accepted vector findable
+    /// by the very next search.
     fn insert(&self, _vector: &[f32]) -> Option<u32> {
         None
     }
@@ -174,65 +174,11 @@ impl BackendIndex {
     }
 }
 
-impl IvfSource for BackendIndex {
-    fn dim(&self) -> usize {
-        self.source().dim()
-    }
-
-    fn m(&self) -> usize {
-        self.source().m()
-    }
-
-    fn ksub(&self) -> usize {
-        self.source().ksub()
-    }
-
-    fn nlist(&self) -> usize {
-        self.source().nlist()
-    }
-
-    fn ntotal(&self) -> usize {
-        self.source().ntotal()
-    }
-
-    fn opq(&self) -> Option<&fanns_quantize::opq::OpqTransform> {
-        self.source().opq()
-    }
-
-    fn centroids(&self) -> &[f32] {
-        self.source().centroids()
-    }
-
-    fn pq(&self) -> &fanns_quantize::pq::ProductQuantizer {
-        self.source().pq()
-    }
-
-    fn list_len(&self, cell: usize) -> usize {
-        self.source().list_len(cell)
-    }
-
-    fn list_ids(&self, cell: usize) -> &[u32] {
-        self.source().list_ids(cell)
-    }
-
-    fn list_codes(&self, cell: usize) -> &[u8] {
-        self.source().list_codes(cell)
-    }
-
-    fn slab(&self, cell: usize) -> &fanns_ivf::simd::CodeSlab {
-        self.source().slab(cell)
-    }
-}
-
 /// The multithreaded CPU IVF-PQ executor behind the serving interface.
 #[derive(Debug)]
 pub struct CpuBackend {
     index: BackendIndex,
     params: IvfPqParams,
-    /// Optional hot-cell centroid/LUT cache: memoizes the coarse-quantizer
-    /// stages (OPQ + IVFDist + SelCells) and the ADC lookup table per
-    /// distinct query, leaving only the inverted-list scan on a hit.
-    lut_cache: Option<CentroidLutCache>,
     /// Optional telemetry sink for pipeline sub-stage spans (coarse
     /// quantization / LUT build / ADC scan).
     telemetry: Option<TelemetrySink>,
@@ -256,7 +202,6 @@ impl CpuBackend {
         Self {
             index: BackendIndex::Heap(Box::new(index)),
             params,
-            lut_cache: None,
             telemetry: None,
             kernel: None,
         }
@@ -283,7 +228,6 @@ impl CpuBackend {
         Self {
             index: BackendIndex::Mapped(index),
             params,
-            lut_cache: None,
             telemetry: None,
             kernel: None,
         }
@@ -308,17 +252,6 @@ impl CpuBackend {
         self.kernel.unwrap_or_else(default_kernel)
     }
 
-    /// Builder-style switch for the hot-cell centroid-distance cache (see
-    /// [`CentroidLutCache`]): up to `capacity` distinct queries keep their
-    /// probe-cell selection and ADC lookup table memoized, so a repeated
-    /// query skips straight to the inverted-list scan. Results are
-    /// bit-identical with or without the cache — entries are keyed on the
-    /// exact query and the index is immutable for the backend's lifetime.
-    pub fn with_centroid_cache(mut self, capacity: usize) -> Self {
-        self.lut_cache = Some(CentroidLutCache::new(capacity, self.index.nlist()));
-        self
-    }
-
     /// Builder-style attach of a telemetry sink: traced queries record one
     /// span per pipeline sub-stage — coarse quantization (OPQ + IVFDist +
     /// SelCells), LUT build, and ADC scan — the live analogue of the
@@ -333,83 +266,41 @@ impl CpuBackend {
         self
     }
 
-    /// The centroid/LUT cache, when enabled (hit/miss stats, hot cells).
-    pub fn centroid_cache(&self) -> Option<&CentroidLutCache> {
-        self.lut_cache.as_ref()
-    }
-
     /// The bound parameters.
     pub fn params(&self) -> IvfPqParams {
         self.params
     }
 
-    /// The bound heap index, when this backend owns one (`None` for
-    /// `mmap`-backed backends — use [`CpuBackend::mapped_index`]).
-    pub fn index(&self) -> Option<&IvfPqIndex> {
-        match &self.index {
-            BackendIndex::Heap(i) => Some(&**i),
-            BackendIndex::Mapped(_) => None,
-        }
-    }
-
-    /// The shared mapped index, when this backend is `mmap`-backed.
-    pub fn mapped_index(&self) -> Option<&Arc<MappedIndex>> {
-        match &self.index {
-            BackendIndex::Heap(_) => None,
-            BackendIndex::Mapped(i) => Some(i),
-        }
-    }
-
-    /// One query: the prefix (coarse quantisation + LUT build, or their
-    /// memoized result when the centroid/LUT cache holds this query), then
-    /// the scan. With a `sink`, one span per sub-stage that actually ran is
-    /// recorded — a cache hit records only its scan. Every combination runs
-    /// the arithmetic of [`fanns_ivf::search::search`], so results are
-    /// bit-identical across them; tracing adds four `Instant::now()` reads
-    /// and three ring pushes.
+    /// One query: the prefix (coarse quantisation + LUT build), then the
+    /// scan. With a `sink`, one span per sub-stage is recorded. Both forms
+    /// run the arithmetic of [`fanns_ivf::search::search`], so results are
+    /// bit-identical; tracing adds four `Instant::now()` reads and three
+    /// ring pushes.
     fn search_one(
         &self,
         sink: Option<&TelemetrySink>,
         query: &[f32],
         scratch: &mut ScanScratch,
     ) -> Vec<SearchResult> {
-        let (kernel, k) = (self.kernel(), self.params.k);
+        let (index, kernel, k) = (self.index.source(), self.kernel(), self.params.k);
         let stamp = || sink.map(|_| Instant::now());
         let t0 = stamp();
-        // End of coarse quantisation and of the LUT build, when they ran.
+        // End of coarse quantisation and of the LUT build.
         let (mut t1, mut t2) = (None, None);
-        let cache = self.lut_cache.as_ref();
-        let results = match cache.and_then(|cache| Some((cache, cache.get(query)?))) {
-            Some((cache, entry)) => {
-                cache.record_probes(&entry.0);
-                stage_scan_and_select_with(&self.index, &entry.0, &entry.1, k, kernel, scratch)
-            }
-            None => scratch.with_prefix(|prefix, scratch| {
-                let nprobe = self.params.effective_nprobe();
-                prefix.compute(&self.index, query, nprobe, kernel, |stage| match stage {
-                    SearchStage::SelCells => t1 = stamp(),
-                    SearchStage::BuildLut => t2 = stamp(),
-                    _ => {}
-                });
-                let (cells, lut) = (prefix.cells(), prefix.lut());
-                if let Some(cache) = cache {
-                    cache.insert(query, Arc::new((cells.to_vec(), lut.clone())));
-                    cache.record_probes(cells);
-                }
-                stage_scan_and_select_with(&self.index, cells, lut, k, kernel, scratch)
-            }),
-        };
-        if let (Some(sink), Some(t0)) = (sink, t0) {
+        let results = scratch.with_prefix(|prefix, scratch| {
+            let nprobe = self.params.effective_nprobe();
+            prefix.compute(index, query, nprobe, kernel, |stage| match stage {
+                SearchStage::SelCells => t1 = stamp(),
+                SearchStage::BuildLut => t2 = stamp(),
+                _ => {}
+            });
+            stage_scan_and_select_with(index, prefix.cells(), prefix.lut(), k, kernel, scratch)
+        });
+        if let (Some(sink), Some(t0), Some(t1), Some(t2)) = (sink, t0, t1, t2) {
             let qid = sink.next_id();
-            let scan_from = match (t1, t2) {
-                (Some(t1), Some(t2)) => {
-                    sink.record_range(Stage::Coarse, qid, t0, t1);
-                    sink.record_range(Stage::BuildLut, qid, t1, t2);
-                    t2
-                }
-                _ => t0,
-            };
-            sink.record_range(Stage::Scan, qid, scan_from, Instant::now());
+            sink.record_range(Stage::Coarse, qid, t0, t1);
+            sink.record_range(Stage::BuildLut, qid, t1, t2);
+            sink.record_range(Stage::Scan, qid, t2, Instant::now());
         }
         results
     }
@@ -417,16 +308,12 @@ impl CpuBackend {
 
 impl SearchBackend for CpuBackend {
     fn name(&self) -> String {
-        let cache = match &self.lut_cache {
-            Some(_) => ", lut-cache",
-            None => "",
-        };
         let mapped = match &self.index {
             BackendIndex::Mapped(_) => ", mmap",
             BackendIndex::Heap(_) => "",
         };
         format!(
-            "cpu-ivfpq({}, nprobe={}, scan={}{cache}{mapped})",
+            "cpu-ivfpq({}, nprobe={}, scan={}{mapped})",
             self.params.index_label(),
             self.params.effective_nprobe(),
             self.kernel()
@@ -434,7 +321,7 @@ impl SearchBackend for CpuBackend {
     }
 
     fn dim(&self) -> usize {
-        self.index.dim()
+        self.index.source().dim()
     }
 
     fn k(&self) -> usize {
@@ -627,31 +514,6 @@ mod tests {
             assert_eq!(&resp.results, expect);
             assert!(resp.simulated_us.is_none());
         }
-    }
-
-    #[test]
-    fn centroid_cache_preserves_results_and_counts_hits() {
-        let (queries, index) = small_index();
-        let params = IvfPqParams::new(16, 4, 10).with_m(16);
-        let plain = CpuBackend::new(index.clone(), params);
-        let cached = CpuBackend::new(index, params).with_centroid_cache(32);
-        assert!(cached.name().contains("lut-cache"));
-
-        let qs: Vec<&[f32]> = (0..6).map(|i| queries.get(i % 3)).collect();
-        let expected = plain.search_batch(&qs);
-        // Run the replayed batch twice: cold fills, warm hits.
-        for _ in 0..2 {
-            let got = cached.search_batch(&qs);
-            assert_eq!(got, expected, "cached path must be bit-identical");
-        }
-        let stats = cached.centroid_cache().expect("cache enabled").stats();
-        // 12 lookups over 3 distinct queries: 3 misses, 9 hits.
-        assert_eq!(stats.misses, 3);
-        assert_eq!(stats.hits, 9);
-        assert_eq!(stats.insertions, 3);
-        let hot = cached.centroid_cache().unwrap().hot_cells(4);
-        assert!(!hot.is_empty(), "probed cells must be tracked");
-        assert!(hot[0].1 >= hot.last().unwrap().1, "hottest first");
     }
 
     #[test]

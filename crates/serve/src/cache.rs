@@ -1,148 +1,38 @@
-//! Serving-side caches: the query-result cache in front of the engine and
-//! the centroid/LUT cache inside the CPU IVF-PQ executor.
+//! The query-result cache in front of the engine.
 //!
-//! Real vector-search traffic is heavily skewed — repeated and near-duplicate
-//! queries dominate — while the paper's cost model assumes every query pays
-//! the full IVF-PQ pipeline. Two caches exploit that skew:
+//! Real vector-search traffic is heavily skewed — a small hot set of repeated
+//! queries dominates — while the paper's cost model assumes every query pays
+//! the full IVF-PQ pipeline. [`QueryResultCache`] is a sharded, thread-safe
+//! map from a query's exact bit pattern to its finished top-K results. The
+//! [`crate::QueryEngine`] consults it at submission: a hit resolves the ticket
+//! as [`crate::QueryStatus::Completed`] immediately, skipping admission,
+//! batching and the backend entirely (and therefore consuming none of the
+//! query's deadline budget). Eviction is LRU, and a generation counter
+//! ([`QueryResultCache::invalidate_all`]) drops every cached entry in O(1)
+//! when the underlying index is swapped or mutated.
 //!
-//! * [`QueryResultCache`] — a sharded, thread-safe map from a *query
-//!   fingerprint* to the finished top-K results. The [`crate::QueryEngine`]
-//!   consults it at submission: a hit resolves the ticket as
-//!   [`crate::QueryStatus::Completed`] immediately, skipping admission,
-//!   batching and the backend entirely (and therefore consuming none of the
-//!   query's deadline budget). Eviction is LRU with an optional TTL, and a
-//!   generation counter ([`QueryResultCache::invalidate_all`]) drops every
-//!   cached entry in O(1) when the underlying index is swapped.
-//! * [`CentroidLutCache`] — inside [`crate::backend::CpuBackend`]: memoizes
-//!   the coarse-quantizer work (IVFDist + SelCells) and the per-query ADC
-//!   lookup table (BuildLUT) for repeated queries, and counts per-cell probe
-//!   frequencies so the hottest cells are observable. In this reproduction
-//!   the LUT is cell-independent (no residual encoding — see
-//!   `IvfPqIndex::train`), so "per-cell LUTs for hot cells" degenerates to
-//!   one LUT per distinct query whose hot probe cells keep it resident in
-//!   the LRU; the [`CentroidLutCache::hot_cells`] histogram reports which
-//!   cells the skewed workload actually concentrates on.
+//! # Keying
 //!
-//! # Fingerprints
-//!
-//! A cache key must decide when two `&[f32]` queries are "the same". Three
-//! policies ([`FingerprintMode`]):
-//!
-//! * [`FingerprintMode::Exact`] — bit-exact equality. Safe by construction:
-//!   cache-on results are identical to cache-off results for any replayed
-//!   trace (the integration tests prove this).
-//! * [`FingerprintMode::Quantized`] — coordinates are snapped to a grid
-//!   before hashing, so near-duplicate queries (e.g. re-embedded text with
-//!   float jitter) collapse onto one entry. Approximate: the hit returns the
-//!   first-seen duplicate's results.
-//! * [`FingerprintMode::CellSignature`] — the query's `probes` closest
-//!   coarse-quantizer cells form the key, so any two queries that would scan
-//!   the same IVF cells share an entry. The coarsest (highest hit-rate,
-//!   least exact) policy; the signature is the information the SelCells
-//!   stage computes — pass the index's OPQ rotation when it has one, since
-//!   the pipeline selects cells from the rotated query.
-//!
-//! Every fingerprint stores its canonical form alongside the 64-bit hash and
-//! compares it on lookup, so hash collisions degrade to misses, never to
-//! wrong results.
+//! Two queries share an entry only when every `f32` is bit-identical. That is
+//! the one key under which a hit returns exactly what the backend would have:
+//! cache-on results equal cache-off results for any replayed trace (the
+//! integration tests prove this), whereas any coarser key answers one query
+//! with another query's neighbours. The key keeps the query's bit pattern
+//! beside its 64-bit hash and compares it on lookup, so hash collisions
+//! degrade to misses, never to wrong results.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
 
 use serde::Serialize;
 
-use fanns_ivf::search::{stage_sel_cells, SearchResult};
-use fanns_quantize::distance::all_l2;
-use fanns_quantize::kmeans::KMeans;
-use fanns_quantize::opq::OpqTransform;
-use fanns_quantize::pq::DistanceTable;
+use fanns_ivf::search::SearchResult;
 
-/// How a query vector is reduced to a cache key (see the module docs for the
-/// exactness trade-off of each policy).
-#[derive(Clone)]
-pub enum FingerprintMode {
-    /// Bit-exact: two queries share an entry only if every `f32` is
-    /// identical. The only policy that preserves exact cache-off results.
-    Exact,
-    /// Snap every coordinate to a multiple of `grid` before hashing, so
-    /// queries within ~`grid`/2 per coordinate collapse onto one entry.
-    Quantized {
-        /// Grid pitch in the query's coordinate units (must be positive).
-        grid: f32,
-    },
-    /// Key on the `probes` nearest coarse-quantizer cells (the SelCells
-    /// output): queries probing the same cells share an entry.
-    CellSignature {
-        /// The trained coarse quantizer whose cells define the signature.
-        coarse: Arc<KMeans>,
-        /// The index's OPQ rotation, when it has one. The search pipeline
-        /// selects cells from the *rotated* query, so an OPQ index needs the
-        /// same rotation here for the signature to match the cells actually
-        /// probed; `None` for indexes trained without OPQ.
-        opq: Option<Arc<OpqTransform>>,
-        /// Signature length — how many nearest cells form the key.
-        probes: usize,
-    },
-}
-
-impl std::fmt::Debug for FingerprintMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FingerprintMode::Exact => write!(f, "Exact"),
-            FingerprintMode::Quantized { grid } => write!(f, "Quantized {{ grid: {grid} }}"),
-            FingerprintMode::CellSignature { probes, .. } => {
-                write!(f, "CellSignature {{ probes: {probes} }}")
-            }
-        }
-    }
-}
-
-impl FingerprintMode {
-    /// The canonical form of `query` under this policy. Lookup compares this
-    /// form, not just its hash, so collisions cannot alias.
-    fn canon(&self, query: &[f32]) -> Vec<u32> {
-        match self {
-            FingerprintMode::Exact => query.iter().map(|x| x.to_bits()).collect(),
-            FingerprintMode::Quantized { grid } => query
-                .iter()
-                // +0.0 normalises -0.0 so the two zero representations and
-                // values rounding to zero share one canonical cell.
-                .map(|x| (((x / grid).round() + 0.0) as i32) as u32)
-                .collect(),
-            FingerprintMode::CellSignature {
-                coarse,
-                opq,
-                probes,
-            } => {
-                // Mirror the query pipeline: rotate first (when the index
-                // uses OPQ), then rank centroids — so the signature is the
-                // probe set SelCells would actually compute.
-                let rotated = opq.as_ref().map(|t| t.apply(query));
-                let v: &[f32] = rotated.as_deref().unwrap_or(query);
-                let mut dists = Vec::new();
-                all_l2(v, coarse.centroids(), coarse.dim(), &mut dists);
-                stage_sel_cells(&dists, (*probes).max(1))
-                    .into_iter()
-                    .map(|c| c as u32)
-                    .collect()
-            }
-        }
-    }
-}
-
-/// Hashes a canonical fingerprint to the 64-bit shard/map key.
-fn hash_canon(canon: &[u32]) -> u64 {
-    let mut h = DefaultHasher::new();
-    canon.hash(&mut h);
-    h.finish()
-}
-
-/// A prepared cache key: the hash, the canonical form it must match, and the
-/// cache generation it was computed under (inserts from before an
+/// A prepared cache key: the hash, the query bit pattern it must match, and
+/// the cache generation it was computed under (inserts from before an
 /// [`QueryResultCache::invalidate_all`] are discarded, closing the race
 /// between an in-flight query and an index swap).
 #[derive(Debug, Clone)]
@@ -152,32 +42,26 @@ pub struct CacheKey {
     generation: u64,
 }
 
-// ---------------------------------------------------------------------------
-// The sharded LRU core shared by both caches.
-// ---------------------------------------------------------------------------
-
 /// Sentinel for "no slot" in the intrusive LRU list.
 const NIL: usize = usize::MAX;
 
-/// One resident entry: the key it answers for, its value, and its position
+/// One resident entry: the key it answers for, its results, and its position
 /// in the shard's recency list.
 #[derive(Debug)]
-struct Entry<V> {
+struct Entry {
     key: u64,
     canon: Vec<u32>,
-    value: V,
+    results: Vec<SearchResult>,
     generation: u64,
-    inserted: Instant,
     prev: usize,
     next: usize,
 }
 
-/// Why a lookup failed (drives the per-cache counters).
+/// Why a lookup failed (drives the `invalidated` counter).
+#[derive(Debug)]
 enum MissKind {
-    /// Key absent (or a hash collision with a different canonical form).
+    /// Key absent (or a hash collision with a different bit pattern).
     Absent,
-    /// Present but older than the TTL; the entry was removed.
-    Expired,
     /// Present but from a previous generation; the entry was removed.
     Invalidated,
 }
@@ -185,16 +69,16 @@ enum MissKind {
 /// One lock's worth of LRU state: a hash map into a slot arena threaded as a
 /// doubly-linked recency list (head = most recent, tail = eviction victim).
 #[derive(Debug)]
-struct LruShard<V> {
+struct LruShard {
     map: HashMap<u64, usize>,
-    slots: Vec<Option<Entry<V>>>,
+    slots: Vec<Option<Entry>>,
     free: Vec<usize>,
     head: usize,
     tail: usize,
     capacity: usize,
 }
 
-impl<V> LruShard<V> {
+impl LruShard {
     fn new(capacity: usize) -> Self {
         Self {
             map: HashMap::with_capacity(capacity.min(1024)),
@@ -210,11 +94,11 @@ impl<V> LruShard<V> {
         self.map.len()
     }
 
-    fn entry(&self, slot: usize) -> &Entry<V> {
+    fn entry(&self, slot: usize) -> &Entry {
         self.slots[slot].as_ref().expect("slot is live")
     }
 
-    fn entry_mut(&mut self, slot: usize) -> &mut Entry<V> {
+    fn entry_mut(&mut self, slot: usize) -> &mut Entry {
         self.slots[slot].as_mut().expect("slot is live")
     }
 
@@ -258,18 +142,13 @@ impl<V> LruShard<V> {
     }
 
     /// Looks `key` up; on a hit the entry is promoted to most-recent and its
-    /// value cloned out.
+    /// results cloned out.
     fn get(
         &mut self,
         key: u64,
         canon: &[u32],
         generation: u64,
-        ttl: Option<Duration>,
-        now: Instant,
-    ) -> Result<V, MissKind>
-    where
-        V: Clone,
-    {
+    ) -> Result<Vec<SearchResult>, MissKind> {
         let Some(&slot) = self.map.get(&key) else {
             return Err(MissKind::Absent);
         };
@@ -282,45 +161,36 @@ impl<V> LruShard<V> {
             self.remove(slot);
             return Err(MissKind::Invalidated);
         }
-        if let Some(ttl) = ttl {
-            if now.duration_since(self.entry(slot).inserted) >= ttl {
-                self.remove(slot);
-                return Err(MissKind::Expired);
-            }
-        }
         self.detach(slot);
         self.push_front(slot);
-        Ok(self.entry(slot).value.clone())
+        Ok(self.entry(slot).results.clone())
     }
 
     /// Inserts (or refreshes) an entry, evicting the least-recently-used
-    /// resident if the shard is full. Returns the number of evictions (0/1).
+    /// resident if the shard is full. Returns whether an entry was evicted.
     fn insert(
         &mut self,
         key: u64,
         canon: Vec<u32>,
-        value: V,
+        results: Vec<SearchResult>,
         generation: u64,
-        now: Instant,
-    ) -> u64 {
+    ) -> bool {
         if let Some(&slot) = self.map.get(&key) {
             // Refresh in place (covers both a re-insert of the same query
             // and a hash collision, where the newer query wins the slot).
             let e = self.entry_mut(slot);
             e.canon = canon;
-            e.value = value;
+            e.results = results;
             e.generation = generation;
-            e.inserted = now;
             self.detach(slot);
             self.push_front(slot);
-            return 0;
+            return false;
         }
-        let mut evicted = 0;
-        if self.map.len() >= self.capacity {
+        let evicted = self.map.len() >= self.capacity;
+        if evicted {
             let victim = self.tail;
             debug_assert_ne!(victim, NIL, "full shard must have a tail");
             self.remove(victim);
-            evicted = 1;
         }
         let slot = match self.free.pop() {
             Some(s) => s,
@@ -332,9 +202,8 @@ impl<V> LruShard<V> {
         self.slots[slot] = Some(Entry {
             key,
             canon,
-            value,
+            results,
             generation,
-            inserted: now,
             prev: NIL,
             next: NIL,
         });
@@ -344,46 +213,18 @@ impl<V> LruShard<V> {
     }
 }
 
-/// Lock-free monotonic counters shared by both cache types.
-#[derive(Debug, Default)]
-struct CacheCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-    expirations: AtomicU64,
-    invalidated: AtomicU64,
-}
-
-impl CacheCounters {
-    fn count_miss(&self, kind: &MissKind) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        match kind {
-            MissKind::Absent => {}
-            MissKind::Expired => {
-                self.expirations.fetch_add(1, Ordering::Relaxed);
-            }
-            MissKind::Invalidated => {
-                self.invalidated.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-/// A point-in-time snapshot of a cache's counters (serialisable — embedded
+/// A point-in-time snapshot of the cache's counters (serialisable — embedded
 /// in bench rows and in [`crate::metrics::ServeReport`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that fell through (absent, expired or invalidated).
+    /// Lookups that fell through (absent or invalidated).
     pub misses: u64,
     /// Entries written.
     pub insertions: u64,
     /// Entries evicted by LRU capacity pressure.
     pub evictions: u64,
-    /// Entries dropped because they outlived the TTL.
-    pub expirations: u64,
     /// Entries dropped because the cache generation moved past them.
     pub invalidated: u64,
     /// Entries currently resident.
@@ -415,10 +256,6 @@ impl CacheStats {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The query-result cache (in front of the engine).
-// ---------------------------------------------------------------------------
-
 /// Configuration of a [`QueryResultCache`].
 #[derive(Debug, Clone)]
 pub struct ResultCacheConfig {
@@ -426,39 +263,20 @@ pub struct ResultCacheConfig {
     pub capacity: usize,
     /// Number of independently locked shards (contention control).
     pub shards: usize,
-    /// Entries older than this are treated as misses and dropped; `None`
-    /// disables time-based expiry.
-    pub ttl: Option<Duration>,
-    /// The fingerprint policy deciding when two queries share an entry.
-    pub fingerprint: FingerprintMode,
 }
 
 impl ResultCacheConfig {
-    /// An exact-match cache of `capacity` entries over 8 shards, no TTL.
+    /// A cache of `capacity` entries over 8 shards.
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
             shards: 8,
-            ttl: None,
-            fingerprint: FingerprintMode::Exact,
         }
     }
 
     /// Builder-style shard-count override.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
-        self
-    }
-
-    /// Builder-style TTL override.
-    pub fn with_ttl(mut self, ttl: Duration) -> Self {
-        self.ttl = Some(ttl);
-        self
-    }
-
-    /// Builder-style fingerprint-policy override.
-    pub fn with_fingerprint(mut self, fingerprint: FingerprintMode) -> Self {
-        self.fingerprint = fingerprint;
         self
     }
 }
@@ -480,11 +298,13 @@ impl ResultCacheConfig {
 /// ```
 #[derive(Debug)]
 pub struct QueryResultCache {
-    shards: Vec<Mutex<LruShard<Vec<SearchResult>>>>,
-    fingerprint: FingerprintMode,
-    ttl: Option<Duration>,
+    shards: Vec<Mutex<LruShard>>,
     generation: AtomicU64,
-    counters: CacheCounters,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    insertions: AtomicU64,
+    evictions: AtomicU64,
+    invalidated: AtomicU64,
     capacity: usize,
 }
 
@@ -498,28 +318,33 @@ impl QueryResultCache {
             shards: (0..shards)
                 .map(|_| Mutex::new(LruShard::new(per_shard)))
                 .collect(),
-            fingerprint: config.fingerprint,
-            ttl: config.ttl,
             generation: AtomicU64::new(0),
-            counters: CacheCounters::default(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            insertions: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+            invalidated: AtomicU64::new(0),
             capacity: per_shard * shards,
         }
     }
 
-    fn shard_for(&self, hash: u64) -> &Mutex<LruShard<Vec<SearchResult>>> {
+    fn shard_for(&self, hash: u64) -> &Mutex<LruShard> {
         // High bits pick the shard so the map's low-bit bucketing inside a
         // shard stays independent of shard selection.
         let idx = (hash >> 32) as usize % self.shards.len();
         &self.shards[idx]
     }
 
-    /// Fingerprints a query. The key also captures the current generation,
-    /// so an [`QueryResultCache::insert`] computed against a since-swapped
-    /// index is discarded instead of poisoning the new generation.
+    /// Keys a query on its exact bit pattern. The key also captures the
+    /// current generation, so an [`QueryResultCache::insert`] computed
+    /// against a since-swapped index is discarded instead of poisoning the
+    /// new generation.
     pub fn key(&self, query: &[f32]) -> CacheKey {
-        let canon = self.fingerprint.canon(query);
+        let canon: Vec<u32> = query.iter().map(|x| x.to_bits()).collect();
+        let mut h = DefaultHasher::new();
+        canon.hash(&mut h);
         CacheKey {
-            hash: hash_canon(&canon),
+            hash: h.finish(),
             canon,
             generation: self.generation.load(Ordering::Acquire),
         }
@@ -528,17 +353,21 @@ impl QueryResultCache {
     /// Looks a prepared key up, counting the hit or miss.
     pub fn get(&self, key: &CacheKey) -> Option<Vec<SearchResult>> {
         let generation = self.generation.load(Ordering::Acquire);
-        let outcome = {
-            let mut shard = self.shard_for(key.hash).lock().expect("cache shard lock");
-            shard.get(key.hash, &key.canon, generation, self.ttl, Instant::now())
-        };
+        let outcome = self
+            .shard_for(key.hash)
+            .lock()
+            .expect("cache shard lock")
+            .get(key.hash, &key.canon, generation);
         match outcome {
             Ok(results) => {
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
+                self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(results)
             }
             Err(kind) => {
-                self.counters.count_miss(&kind);
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                if let MissKind::Invalidated = kind {
+                    self.invalidated.fetch_add(1, Ordering::Relaxed);
+                }
                 None
             }
         }
@@ -556,21 +385,14 @@ impl QueryResultCache {
         if self.generation.load(Ordering::Acquire) != key.generation {
             return;
         }
-        let evicted = {
-            let mut shard = self.shard_for(key.hash).lock().expect("cache shard lock");
-            shard.insert(
-                key.hash,
-                key.canon.clone(),
-                results,
-                key.generation,
-                Instant::now(),
-            )
-        };
-        self.counters.insertions.fetch_add(1, Ordering::Relaxed);
-        if evicted > 0 {
-            self.counters
-                .evictions
-                .fetch_add(evicted, Ordering::Relaxed);
+        let evicted = self
+            .shard_for(key.hash)
+            .lock()
+            .expect("cache shard lock")
+            .insert(key.hash, key.canon.clone(), results, key.generation);
+        self.insertions.fetch_add(1, Ordering::Relaxed);
+        if evicted {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -611,137 +433,12 @@ impl QueryResultCache {
     /// Snapshot of the lifetime counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.counters.hits.load(Ordering::Relaxed),
-            misses: self.counters.misses.load(Ordering::Relaxed),
-            insertions: self.counters.insertions.load(Ordering::Relaxed),
-            evictions: self.counters.evictions.load(Ordering::Relaxed),
-            expirations: self.counters.expirations.load(Ordering::Relaxed),
-            invalidated: self.counters.invalidated.load(Ordering::Relaxed),
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            insertions: self.insertions.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+            invalidated: self.invalidated.load(Ordering::Relaxed),
             entries: self.len(),
-            capacity: self.capacity,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The centroid/LUT cache (inside the CPU backend).
-// ---------------------------------------------------------------------------
-
-/// What the CPU backend memoizes per distinct query: the selected probe
-/// cells and the ADC lookup table (shared via `Arc` so hits — and the
-/// insert itself — clone a pointer, not an `m × ksub` table).
-pub type LutEntry = Arc<(Vec<usize>, DistanceTable)>;
-
-/// The hot-cell centroid-distance cache inside the CPU IVF-PQ backend (see
-/// the module docs): skips OPQ + IVFDist + SelCells + BuildLUT for repeated
-/// queries, leaving only the inverted-list scan, and tracks per-cell probe
-/// frequency so the workload's hot cells are observable.
-#[derive(Debug)]
-pub struct CentroidLutCache {
-    shards: Vec<Mutex<LruShard<LutEntry>>>,
-    counters: CacheCounters,
-    probe_counts: Vec<AtomicU64>,
-    capacity: usize,
-}
-
-impl CentroidLutCache {
-    /// A cache of `capacity` (query → probe cells + LUT) entries over an
-    /// index with `nlist` cells.
-    pub fn new(capacity: usize, nlist: usize) -> Self {
-        let shards = 8usize;
-        let per_shard = capacity.max(1).div_ceil(shards);
-        Self {
-            shards: (0..shards)
-                .map(|_| Mutex::new(LruShard::new(per_shard)))
-                .collect(),
-            counters: CacheCounters::default(),
-            probe_counts: (0..nlist).map(|_| AtomicU64::new(0)).collect(),
-            capacity: per_shard * shards,
-        }
-    }
-
-    fn key(query: &[f32]) -> (u64, Vec<u32>) {
-        let canon: Vec<u32> = query.iter().map(|x| x.to_bits()).collect();
-        (hash_canon(&canon), canon)
-    }
-
-    /// The memoized (probe cells, LUT) for a bit-identical query, if cached.
-    pub fn get(&self, query: &[f32]) -> Option<LutEntry> {
-        let (hash, canon) = Self::key(query);
-        let idx = (hash >> 32) as usize % self.shards.len();
-        let outcome = {
-            let mut shard = self.shards[idx].lock().expect("lut cache shard lock");
-            shard.get(hash, &canon, 0, None, Instant::now())
-        };
-        match outcome {
-            Ok(entry) => {
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry)
-            }
-            Err(kind) => {
-                self.counters.count_miss(&kind);
-                None
-            }
-        }
-    }
-
-    /// Memoizes the coarse-quantizer + LUT work for `query`. Takes the
-    /// shared entry so the caller keeps using the same allocation it just
-    /// built (no table copy on the miss path).
-    pub fn insert(&self, query: &[f32], entry: LutEntry) {
-        let (hash, canon) = Self::key(query);
-        let idx = (hash >> 32) as usize % self.shards.len();
-        let evicted = {
-            let mut shard = self.shards[idx].lock().expect("lut cache shard lock");
-            shard.insert(hash, canon, entry, 0, Instant::now())
-        };
-        self.counters.insertions.fetch_add(1, Ordering::Relaxed);
-        if evicted > 0 {
-            self.counters
-                .evictions
-                .fetch_add(evicted, Ordering::Relaxed);
-        }
-    }
-
-    /// Records that a query probed `cells` (hit and miss paths both call
-    /// this, so the histogram reflects the full served workload).
-    pub fn record_probes(&self, cells: &[usize]) {
-        for &c in cells {
-            if let Some(count) = self.probe_counts.get(c) {
-                count.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// The `top` most-probed cells as `(cell, probe_count)`, hottest first
-    /// (ties broken by cell id for determinism).
-    pub fn hot_cells(&self, top: usize) -> Vec<(usize, u64)> {
-        let mut cells: Vec<(usize, u64)> = self
-            .probe_counts
-            .iter()
-            .enumerate()
-            .map(|(c, n)| (c, n.load(Ordering::Relaxed)))
-            .filter(|&(_, n)| n > 0)
-            .collect();
-        cells.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        cells.truncate(top);
-        cells
-    }
-
-    /// Snapshot of the lifetime counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.counters.hits.load(Ordering::Relaxed),
-            misses: self.counters.misses.load(Ordering::Relaxed),
-            insertions: self.counters.insertions.load(Ordering::Relaxed),
-            evictions: self.counters.evictions.load(Ordering::Relaxed),
-            expirations: 0,
-            invalidated: 0,
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.lock().expect("lut cache shard lock").len())
-                .sum(),
             capacity: self.capacity,
         }
     }
@@ -750,6 +447,7 @@ impl CentroidLutCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn occupancy_is_fill_fraction_and_zero_when_disabled() {
@@ -782,7 +480,7 @@ mod tests {
         let key = cache.key(&q);
         cache.insert(&key, result(9));
         assert_eq!(cache.lookup(&q).unwrap(), result(9));
-        // A bit-different query misses under the exact policy.
+        // A bit-different query misses.
         assert!(cache.lookup(&[0.5f32, -1.25, 3.0001]).is_none());
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
@@ -810,20 +508,6 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expires_entries() {
-        let cache =
-            QueryResultCache::new(ResultCacheConfig::new(4).with_ttl(Duration::from_millis(20)));
-        let q = [7.0f32];
-        cache.insert(&cache.key(&q), result(7));
-        assert!(cache.lookup(&q).is_some());
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(cache.lookup(&q).is_none(), "entry must expire after TTL");
-        let stats = cache.stats();
-        assert_eq!(stats.expirations, 1);
-        assert_eq!(stats.entries, 0, "expired entry is reclaimed");
-    }
-
-    #[test]
     fn invalidate_all_drops_every_entry_and_stale_inserts() {
         let cache = QueryResultCache::new(ResultCacheConfig::new(8));
         let q = [1.0f32, 2.0];
@@ -846,35 +530,38 @@ mod tests {
     }
 
     #[test]
-    fn quantized_fingerprint_matches_near_duplicates() {
-        let cache = QueryResultCache::new(
-            ResultCacheConfig::new(8).with_fingerprint(FingerprintMode::Quantized { grid: 0.1 }),
-        );
-        cache.insert(&cache.key(&[1.00f32, 2.00]), result(4));
-        // Jitter below the grid pitch lands in the same cell.
-        assert_eq!(cache.lookup(&[1.01f32, 1.99]).unwrap(), result(4));
-        // A full grid step away misses.
-        assert!(cache.lookup(&[1.30f32, 2.00]).is_none());
-    }
+    fn hash_collision_misses_without_displacing_and_a_later_insert_takes_the_slot() {
+        // Two bit patterns forced under one 64-bit hash.
+        let cache = QueryResultCache::new(ResultCacheConfig::new(4).with_shards(1));
+        let colliding = |bits: u32| CacheKey {
+            hash: 0xC0FFEE,
+            canon: vec![bits],
+            generation: 0,
+        };
+        let (a, b) = (colliding(1), colliding(2));
+        cache.insert(&a, result(1));
 
-    #[test]
-    fn cell_signature_fingerprint_keys_on_probe_set() {
-        use fanns_quantize::kmeans::KMeansConfig;
-        // Two well-separated 1-d clusters -> two centroids near 0 and 10.
-        let data: Vec<f32> = vec![0.0, 0.1, 0.2, 9.9, 10.0, 10.1];
-        let coarse = Arc::new(KMeans::train(&data, 1, &KMeansConfig::new(2)));
-        let cache = QueryResultCache::new(ResultCacheConfig::new(8).with_fingerprint(
-            FingerprintMode::CellSignature {
-                coarse,
-                opq: None,
-                probes: 1,
-            },
-        ));
-        cache.insert(&cache.key(&[0.05f32]), result(11));
-        // Any query whose nearest cell is the "0" cluster shares the entry…
-        assert_eq!(cache.lookup(&[0.3f32]).unwrap(), result(11));
-        // …while a query probing the other cell misses.
-        assert!(cache.lookup(&[9.8f32]).is_none());
+        // The other form is an absent-miss at the shard (not an
+        // invalidation), and the resident entry keeps its slot.
+        let peek = cache.shards[0]
+            .lock()
+            .unwrap()
+            .get(b.hash, &b.canon, b.generation);
+        assert!(matches!(peek, Err(MissKind::Absent)), "got {peek:?}");
+        assert_eq!(cache.get(&b), None);
+        assert_eq!(cache.get(&a), Some(result(1)), "resident must survive");
+
+        // A later insert of the other form takes the slot.
+        cache.insert(&b, result(2));
+        assert_eq!(cache.get(&b), Some(result(2)));
+        assert_eq!(cache.get(&a), None, "displaced form must miss");
+
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.insertions), (2, 2, 2));
+        assert_eq!(
+            (stats.evictions, stats.invalidated, stats.entries),
+            (0, 0, 1)
+        );
     }
 
     #[test]
@@ -901,25 +588,6 @@ mod tests {
         assert!(stats.hits > 0, "repeated keys must hit");
         assert!(stats.entries <= stats.capacity);
         assert!(hits(&cache) == stats.hits);
-    }
-
-    #[test]
-    fn centroid_lut_cache_memoizes_and_tracks_hot_cells() {
-        let lut = DistanceTable::from_flat(2, 2, vec![0.0, 1.0, 2.0, 3.0]);
-        let cache = CentroidLutCache::new(4, 8);
-        let q = [1.0f32, 2.0];
-        assert!(cache.get(&q).is_none());
-        cache.insert(&q, Arc::new((vec![3, 1], lut)));
-        let entry = cache.get(&q).expect("memoized");
-        assert_eq!(entry.0, vec![3, 1]);
-        cache.record_probes(&entry.0);
-        cache.record_probes(&[3]);
-        let hot = cache.hot_cells(2);
-        assert_eq!(hot, vec![(3, 2), (1, 1)]);
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.entries, 1);
     }
 
     #[test]

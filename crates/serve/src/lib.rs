@@ -9,9 +9,8 @@
 //!   IVF-PQ searcher, the generated accelerator (cycle-level simulator, which
 //!   also reports modelled device latency), and an exact flat reference,
 //! * [`cache`] — the sharded LRU query-result cache the engine consults
-//!   before admission (exact / quantized / cell-signature fingerprints,
-//!   TTL + generation invalidation) and the centroid/LUT cache inside the
-//!   CPU backend that memoizes coarse-quantizer work for repeated queries,
+//!   before admission, keyed on the query's exact bit pattern, with O(1)
+//!   generation invalidation,
 //! * [`engine`] — the multi-threaded [`QueryEngine`]: one bounded admission
 //!   queue that a worker pool drains into batches itself (work-conserving,
 //!   no scheduler thread), deadline-aware early shedding and
@@ -82,9 +81,7 @@ pub use backend::{
     open_mapped_backend, AcceleratorBackend, BackendError, BackendResponse, CpuBackend,
     FlatBackend, SearchBackend,
 };
-pub use cache::{
-    CacheStats, CentroidLutCache, FingerprintMode, LutEntry, QueryResultCache, ResultCacheConfig,
-};
+pub use cache::{CacheStats, QueryResultCache, ResultCacheConfig};
 pub use dispatch::{
     shard_cpu_backends, shard_flat_backends, shard_replicated_cpu_backends, ShardedBackend,
 };

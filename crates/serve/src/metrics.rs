@@ -328,8 +328,6 @@ pub struct CacheReport {
     pub insertions: u64,
     /// Entries evicted by LRU capacity pressure over the cache's lifetime.
     pub evictions: u64,
-    /// Entries dropped for outliving the TTL.
-    pub expirations: u64,
     /// Entries dropped by generation invalidation.
     pub invalidated: u64,
     /// Entries resident when the report was taken.
@@ -341,7 +339,7 @@ pub struct CacheReport {
 impl CacheReport {
     /// Combines the engine's view (hit count and latency histograms from the
     /// collector, the lock-free per-engine miss count) with the cache's
-    /// lifetime stats (insert/evict/expire counters, occupancy, capacity —
+    /// lifetime stats (insert/evict/invalidate counters, occupancy, capacity —
     /// which aggregate across every engine sharing the cache).
     pub fn new(collector: &MetricsCollector, cache_stats: &CacheStats, misses: u64) -> Self {
         let lookups = collector.cache_hits + misses;
@@ -358,7 +356,6 @@ impl CacheReport {
             miss_p50_us: collector.wall.percentile(50.0),
             insertions: cache_stats.insertions,
             evictions: cache_stats.evictions,
-            expirations: cache_stats.expirations,
             invalidated: cache_stats.invalidated,
             entries: cache_stats.entries,
             capacity: cache_stats.capacity,

@@ -208,6 +208,11 @@ impl SearchBackend for MutableBackend {
     }
 
     fn insert(&self, vector: &[f32]) -> Option<u32> {
+        // Client input: a wrong-dimension vector is rejected, not asserted
+        // on, and leaves the index and the cache generation untouched.
+        if vector.len() != self.index.dim() {
+            return None;
+        }
         let id = self.index.insert(vector);
         if let Some(cache) = &self.cache {
             // Freshness: a cached reply may omit the new, closer vector.
@@ -373,6 +378,26 @@ mod tests {
         let g3 = cache.generation();
         assert!(backend.compact().skipped);
         assert_eq!(cache.generation(), g3, "skipped compaction must not");
+    }
+
+    #[test]
+    fn wrong_dimension_insert_is_rejected_without_invalidating() {
+        let (queries, backend) = build_backend();
+        let cache = Arc::new(QueryResultCache::new(ResultCacheConfig::new(64)));
+        let backend = MutableBackend::new(Arc::clone(backend.index()), backend.params())
+            .with_result_cache(Arc::clone(&cache));
+        let (g0, live0) = (cache.generation(), backend.index().live());
+        let query = queries.get(0);
+        let long = [query, &[0.0]].concat();
+        for bad in [&query[..query.len() - 1], &long[..], &[][..]] {
+            assert_eq!(backend.insert(bad), None, "len {} accepted", bad.len());
+        }
+        assert_eq!(
+            cache.generation(),
+            g0,
+            "a rejected insert must not invalidate"
+        );
+        assert_eq!(backend.index().live(), live0);
     }
 
     #[test]

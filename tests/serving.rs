@@ -285,10 +285,9 @@ fn goodput_counters_reconcile_with_offered_load() {
 
 #[test]
 fn cached_engine_matches_uncached_engine_on_a_replayed_trace() {
-    // The result cache (exact fingerprints) and the backend's centroid/LUT
-    // cache must be semantically invisible: a replayed query trace gets
-    // bit-identical results with caching on and off, even though most of
-    // the cached run never touches the backend.
+    // The result cache must be semantically invisible: a replayed query
+    // trace gets bit-identical results with caching on and off, even though
+    // most of the cached run never touches the backend.
     let (db, queries) = SyntheticSpec::sift_small(2031).generate();
     let index = IvfPqIndex::build(
         &db,
@@ -307,7 +306,7 @@ fn cached_engine_matches_uncached_engine_on_a_replayed_trace() {
 
     let cache = Arc::new(QueryResultCache::new(ResultCacheConfig::new(64)));
     let engine = QueryEngine::start_with_cache(
-        Arc::new(CpuBackend::new(index, params).with_centroid_cache(64)),
+        Arc::new(CpuBackend::new(index, params)),
         EngineConfig::new(BatchPolicy::new(16, Duration::from_micros(300))).with_workers(4),
         Some(Arc::clone(&cache)),
     );

@@ -152,17 +152,9 @@ fn cpu_backend_serves_identically_on_every_kernel() {
         if !kernel.is_available() {
             continue;
         }
-        // Exercise both the plain path and the LUT-cache path (cold + warm).
         let backend = CpuBackend::new(index.clone(), params).with_kernel(kernel);
         assert!(backend.name().contains(kernel.name()));
         let plain = backend.search_batch(&qs);
-        let cached_backend = CpuBackend::new(index.clone(), params)
-            .with_kernel(kernel)
-            .with_centroid_cache(32);
-        let cold = cached_backend.search_batch(&qs);
-        let warm = cached_backend.search_batch(&qs);
-        assert_eq!(cold, warm, "kernel {kernel}: cache must not change results");
-        assert_eq!(plain, cold, "kernel {kernel}: cached path diverged");
         if kernel != ScanKernel::Int8 {
             assert_eq!(
                 plain, baseline,
