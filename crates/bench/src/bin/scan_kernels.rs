@@ -10,8 +10,8 @@
 //! once per query, untimed):
 //!
 //! * **scan** — the distance computation alone (Stage PQDist): for the
-//!   scalar reference, the per-code loop exactly as it shipped before the
-//!   data plane (`stage_pq_dist`: `(id, f32)` tuple pushes into a per-query
+//!   scalar reference, the pre-data-plane per-code tuple loop, kept
+//!   bin-local in `scan_kernels` (`(id, f32)` tuple pushes into a per-query
 //!   Vec, `lut.adc` one entry at a time); the slab kernel for the rest.
 //!   This is the throughput the tentpole gate tests (`*_mcodes_per_s`,
 //!   `*_gbps`, `*_speedup`).
@@ -23,9 +23,7 @@
 //! The binary asserts the tentpole target at the end: the best f32 SIMD
 //! *scan* speedup must reach 4x (AVX2 hosts) or 1.5x (portable-only hosts)
 //! over the scalar reference — override with `FANNS_SCAN_GATE` for exotic
-//! hosts. The int8 first pass is reported on the same scale (its quantized
-//! table is built once per query, untimed, exactly as a serving query pays
-//! it once after BuildLUT).
+//! hosts.
 //!
 //! Each sweep point also prints one **prefix** row per distance-kernel tier
 //! (`fanns_quantize::distance`): coarse quantisation (`all_l2` over the
@@ -47,9 +45,9 @@ use fanns_ivf::index::{IvfPqIndex, IvfPqTrainConfig};
 use fanns_ivf::search::{
     stage_build_lut, stage_ivf_dist, stage_opq, stage_scan_and_select_with, stage_sel_cells,
 };
-use fanns_ivf::simd::{avx2_available, int8, kernels, ScanKernel, ScanScratch, ALL_KERNELS};
+use fanns_ivf::simd::{avx2_available, kernels, ScanKernel, ScanScratch, ALL_KERNELS};
 use fanns_quantize::distance::SimdTier;
-use fanns_quantize::pq::{DistanceTable, QuantizedLut};
+use fanns_quantize::pq::DistanceTable;
 
 /// One sweep point, printed as a JSON row.
 #[derive(Debug, Serialize)]
@@ -94,7 +92,6 @@ struct PrefixRow {
 struct PreparedQuery {
     cells: Vec<usize>,
     lut: DistanceTable,
-    qlut: QuantizedLut,
 }
 
 fn prepare(index: &IvfPqIndex, queries: &QuerySet, nprobe: usize) -> Vec<PreparedQuery> {
@@ -104,8 +101,7 @@ fn prepare(index: &IvfPqIndex, queries: &QuerySet, nprobe: usize) -> Vec<Prepare
             let dists = stage_ivf_dist(index, &rotated);
             let cells = stage_sel_cells(&dists, nprobe);
             let lut = stage_build_lut(index, &rotated);
-            let qlut = lut.quantize_i8();
-            PreparedQuery { cells, lut, qlut }
+            PreparedQuery { cells, lut }
         })
         .collect()
 }
@@ -129,19 +125,18 @@ fn time_scan(
     kernel: ScanKernel,
     reps: usize,
     dists: &mut Vec<f32>,
-    sums: &mut Vec<u32>,
 ) -> f64 {
     let m = index.m();
     let mut pass = |timed: bool| -> f64 {
         let start = Instant::now();
         for p in prepared {
             if kernel == ScanKernel::Scalar {
-                // The scalar reference is the scan stage exactly as it
-                // shipped before the slab data plane (`stage_pq_dist`): one
-                // `(id, distance)` tuple pushed per code into a per-query
-                // Vec, `lut.adc` gathering m entries one f32 at a time. The
-                // allocation and tuple traffic were part of the cost the
-                // data plane removed, so they are part of the baseline.
+                // The scalar reference is the pre-data-plane per-code tuple
+                // loop, kept bin-local here: one `(id, distance)` tuple
+                // pushed per code into a per-query Vec, `lut.adc` gathering
+                // m entries one f32 at a time. The allocation and tuple
+                // traffic were part of the cost the data plane removed, so
+                // they are part of the baseline.
                 let mut out: Vec<(u32, f32)> = Vec::new();
                 for &cell in &p.cells {
                     let list = index.list(cell);
@@ -158,27 +153,12 @@ fn time_scan(
                 if slab.is_empty() {
                     continue;
                 }
+                dists.resize(slab.padded_len(), 0.0);
                 match kernel {
-                    ScanKernel::Scalar => unreachable!("handled above"),
-                    ScanKernel::Portable => {
-                        dists.resize(slab.padded_len(), 0.0);
-                        kernels::scan_f32_portable(slab, &p.lut, dists);
-                    }
-                    ScanKernel::Avx2 => {
-                        dists.resize(slab.padded_len(), 0.0);
-                        kernels::scan_f32_avx2(slab, &p.lut, dists);
-                    }
-                    ScanKernel::Int8 => {
-                        sums.resize(slab.padded_len(), 0);
-                        if avx2_available() {
-                            int8::scan_i8_avx2(slab, &p.qlut, sums);
-                        } else {
-                            int8::scan_i8_portable(slab, &p.qlut, sums);
-                        }
-                    }
+                    ScanKernel::Avx2 => kernels::scan_f32_avx2(slab, &p.lut, dists),
+                    _ => kernels::scan_f32_portable(slab, &p.lut, dists),
                 }
                 std::hint::black_box(&dists);
-                std::hint::black_box(&sums);
             }
         }
         if timed {
@@ -345,7 +325,6 @@ fn main() {
             let pass_codes = codes_per_pass(&index, &prepared);
             let mut scratch = ScanScratch::new();
             let mut dists = Vec::new();
-            let mut sums = Vec::new();
 
             let mut scalar_codes_per_s = 0.0f64;
             for kernel in ALL_KERNELS {
@@ -353,14 +332,14 @@ fn main() {
                     eprintln!("scan_kernels: skipping {kernel} (unavailable on this host)");
                     continue;
                 }
-                let scan_secs = time_scan(&index, &prepared, kernel, reps, &mut dists, &mut sums);
+                let scan_secs = time_scan(&index, &prepared, kernel, reps, &mut dists);
                 let fused_secs = time_fused(&index, &prepared, k, kernel, reps, &mut scratch);
                 let codes_per_s = pass_codes as f64 / scan_secs.max(1e-12);
                 if kernel == ScanKernel::Scalar {
                     scalar_codes_per_s = codes_per_s;
                 }
                 let speedup = codes_per_s / scalar_codes_per_s.max(1e-12);
-                if matches!(kernel, ScanKernel::Portable | ScanKernel::Avx2) {
+                if kernel != ScanKernel::Scalar {
                     best_f32_speedup = best_f32_speedup.max(speedup);
                 }
                 let row = KernelRow {

@@ -16,7 +16,7 @@ use fanns_dataset::types::QuerySet;
 use crate::index::IvfPqIndex;
 use crate::params::IvfPqParams;
 use crate::search::{
-    search, search_with_kernel, search_with_timings_kernel, SearchResult, StageTimings,
+    search_with_kernel, search_with_timings_kernel, with_thread_scratch, SearchResult, StageTimings,
 };
 use crate::simd::{self, ScanKernel, ScanScratch};
 use crate::source::IvfSource;
@@ -84,9 +84,9 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
 pub struct CpuSearcher<'a, S: IvfSource + ?Sized = IvfPqIndex> {
     index: &'a S,
     params: IvfPqParams,
-    /// Scan kernel override; `None` rides the process default
-    /// ([`simd::default_kernel`]).
-    kernel: Option<ScanKernel>,
+    /// The scan kernel every query runs on: [`simd::default_kernel`] unless
+    /// pinned with [`CpuSearcher::with_kernel`].
+    kernel: ScanKernel,
 }
 
 // Manual impls: deriving would demand `S: Clone`/`S: Debug`, but the
@@ -122,20 +122,20 @@ impl<'a, S: IvfSource + ?Sized> CpuSearcher<'a, S> {
         Self {
             index,
             params,
-            kernel: None,
+            kernel: simd::default_kernel(),
         }
     }
 
     /// Builder-style scan-kernel pin (benches and the per-kernel Figure 3
     /// breakdown; serving paths normally ride the process default).
     pub fn with_kernel(mut self, kernel: ScanKernel) -> Self {
-        self.kernel = Some(kernel);
+        self.kernel = kernel;
         self
     }
 
     /// The scan kernel this searcher executes.
     pub fn kernel(&self) -> ScanKernel {
-        self.kernel.unwrap_or_else(simd::default_kernel)
+        self.kernel
     }
 
     /// The bound parameters.
@@ -143,24 +143,18 @@ impl<'a, S: IvfSource + ?Sized> CpuSearcher<'a, S> {
         self.params
     }
 
-    /// Searches a single query.
+    /// Searches a single query on this thread's reusable scratch.
     pub fn search_one(&self, query: &[f32]) -> Vec<SearchResult> {
-        match self.kernel {
-            None => search(
+        with_thread_scratch(|scratch| {
+            search_with_kernel(
                 self.index,
                 query,
                 self.params.k,
                 self.params.effective_nprobe(),
-            ),
-            Some(kernel) => search_with_kernel(
-                self.index,
-                query,
-                self.params.k,
-                self.params.effective_nprobe(),
-                kernel,
-                &mut ScanScratch::new(),
-            ),
-        }
+                self.kernel,
+                scratch,
+            )
+        })
     }
 
     /// Searches every query in parallel (offline batch mode), returning the

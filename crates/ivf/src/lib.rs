@@ -14,9 +14,8 @@
 //! * [`baseline_cpu`] — the multithreaded batch/online CPU searcher standing
 //!   in for the paper's Faiss CPU baseline,
 //! * [`simd`] — the vectorized ADC scan data plane: 64-byte-aligned
-//!   block-transposed code slabs, AVX2/portable f32 kernels (bit-identical
-//!   to the scalar reference) and an int8-quantized-LUT fast pass with
-//!   exact re-ranking, runtime-dispatched per host (see
+//!   block-transposed code slabs and AVX2/portable f32 kernels, every one
+//!   bit-identical to the scalar reference, runtime-dispatched per host (see
 //!   `docs/DATA_PLANE.md`),
 //! * [`source`] — the [`IvfSource`] abstraction every search stage is
 //!   generic over, so heap-owned and mmap-backed indexes run identical

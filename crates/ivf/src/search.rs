@@ -381,8 +381,7 @@ pub fn stage_scan_and_select<S: IvfSource + ?Sized>(
 }
 
 /// [`stage_scan_and_select`] with an explicit kernel and caller-owned
-/// scratch. The f32 kernels (`Scalar`/`Portable`/`Avx2`) return bit-identical
-/// results; `Int8` re-ranks its quantized first pass with exact f32 ADC.
+/// scratch. Every kernel returns bit-identical results.
 pub fn stage_scan_and_select_with<S: IvfSource + ?Sized>(
     index: &S,
     cells: &[usize],
@@ -407,25 +406,7 @@ pub fn stage_scan_and_select_with<S: IvfSource + ?Sized>(
         ScanKernel::Portable | ScanKernel::Avx2 => {
             simd::scan_and_select_f32(index, cells, lut, k, kernel, scratch)
         }
-        ScanKernel::Int8 => simd::scan_and_select_int8(index, cells, lut, k, scratch),
     }
-}
-
-/// Stage PQDist alone: ADC distances for every code in the selected cells.
-/// Returns (id, distance) pairs in scan order.
-pub fn stage_pq_dist<S: IvfSource + ?Sized>(
-    index: &S,
-    cells: &[usize],
-    lut: &DistanceTable,
-) -> Vec<(u32, f32)> {
-    let m = index.m();
-    let mut out = Vec::new();
-    for &cell in cells {
-        let codes = index.list_codes(cell).chunks_exact(m);
-        let ids = index.list_ids(cell).iter();
-        out.extend(ids.zip(codes).map(|(&id, code)| (id, lut.adc(code))));
-    }
-    out
 }
 
 /// Stage SelK alone: select the `k` best candidates from the PQDist output.
@@ -493,27 +474,7 @@ pub fn search_with_timings_kernel<S: IvfSource + ?Sized>(
         simd::scan_pairs(index, cells, lut, kernel, scratch);
         lap(SearchStage::PqDist);
 
-        let results = match kernel {
-            // The int8 split path carries first-pass distances; re-rank the
-            // top candidates exactly as the fused path does so results match.
-            ScanKernel::Int8 => {
-                let mut approx = TopK::new(simd::rerank_depth(k));
-                for &(id, d) in scratch.pairs() {
-                    approx.push(d, id);
-                }
-                let survivors: std::collections::HashSet<u32> =
-                    approx.into_sorted().into_iter().map(|r| r.id).collect();
-                let exact = stage_pq_dist(index, cells, lut);
-                let mut topk = TopK::new(k);
-                for (id, d) in exact {
-                    if survivors.contains(&id) {
-                        topk.push(d, id);
-                    }
-                }
-                topk.into_sorted()
-            }
-            _ => stage_sel_k(scratch.pairs(), k),
-        };
+        let results = stage_sel_k(scratch.pairs(), k);
         lap(SearchStage::SelK);
 
         timings.queries += 1;
@@ -587,13 +548,30 @@ mod tests {
     #[test]
     fn fused_and_split_paths_agree() {
         let (_, queries, index) = build_small();
+        let bits = |r: &[SearchResult]| -> Vec<(u32, u32)> {
+            r.iter().map(|h| (h.id, h.distance.to_bits())).collect()
+        };
+        let mut scratch = ScanScratch::new();
         for q in 0..4 {
-            let fused = search(&index, queries.get(q), 10, 4);
-            let mut timings = StageTimings::default();
-            let split = timed_search(&index, queries.get(q), 10, 4, &mut timings);
-            assert_eq!(fused, split);
-            assert_eq!(timings.queries, 1);
-            assert!(timings.total() > Duration::ZERO);
+            let query = queries.get(q);
+            let expected = bits(&search(&index, query, 10, 4));
+            for kernel in simd::ALL_KERNELS {
+                let fused = search_with_kernel(&index, query, 10, 4, kernel, &mut scratch);
+                let mut timings = StageTimings::default();
+                let split = search_with_timings_kernel(
+                    &index,
+                    query,
+                    10,
+                    4,
+                    kernel,
+                    &mut timings,
+                    &mut scratch,
+                );
+                assert_eq!(bits(&fused), expected, "query {q} kernel {kernel}");
+                assert_eq!(bits(&split), expected, "query {q} kernel {kernel}");
+                assert_eq!(timings.queries, 1);
+                assert!(timings.total() > Duration::ZERO);
+            }
         }
     }
 

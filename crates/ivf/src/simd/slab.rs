@@ -147,26 +147,6 @@ impl CodeSlab {
         self.blocks() * self.m * BLOCK
     }
 
-    /// Copies code `i` back into row-major order (used by the int8 re-rank
-    /// pass and by tests that check the transpose round-trips).
-    ///
-    /// # Panics
-    /// Panics when `i >= len()` or `out.len() != m`.
-    pub fn read_code(&self, i: usize, out: &mut [u8]) {
-        assert!(
-            i < self.len,
-            "code index {i} out of bounds (len {})",
-            self.len
-        );
-        assert_eq!(out.len(), self.m, "output buffer must hold m bytes");
-        let bytes = self.as_bytes();
-        let (block, lane) = (i / BLOCK, i % BLOCK);
-        let base = block * self.m * BLOCK;
-        for (j, slot) in out.iter_mut().enumerate() {
-            *slot = bytes[base + j * BLOCK + lane];
-        }
-    }
-
     /// Reconstructs the canonical flat row-major code buffer (`len × m`) —
     /// the inverse of [`CodeSlab::from_codes`], used for serialization.
     pub fn to_flat_codes(&self) -> Vec<u8> {
@@ -225,11 +205,6 @@ mod tests {
             assert_eq!(slab.len(), len);
             assert_eq!(slab.m(), m);
             assert_eq!(slab.to_flat_codes(), codes, "len={len} m={m}");
-            let mut buf = vec![0u8; m];
-            for i in 0..len {
-                slab.read_code(i, &mut buf);
-                assert_eq!(&buf, &codes[i * m..(i + 1) * m]);
-            }
         }
     }
 

@@ -107,9 +107,7 @@ fn portable_and_avx2_tiers_agree_end_to_end() {
 fn scratch_stops_growing_after_the_first_query() {
     let (db, queries) = dataset(63);
     let index = IvfPqIndex::build(&db, &config(true));
-    // The f32 kernels: the int8 kernel's candidate list is as long as the
-    // query's data makes it, so its scratch may still grow later.
-    for kernel in [ScanKernel::Scalar, ScanKernel::Portable, ScanKernel::Avx2] {
+    for kernel in ALL_KERNELS {
         let mut scratch = ScanScratch::new();
         // Full probe: the first query already touches the largest cell.
         search_with_kernel(&index, queries.get(0), 10, NLIST, kernel, &mut scratch);

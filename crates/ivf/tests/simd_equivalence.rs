@@ -4,13 +4,11 @@
 //!
 //! The f32 kernels must match the scalar reference *bitwise* — each lane
 //! sums its `m` LUT entries in the same order, so there is no 1-ulp slack to
-//! grant. The int8 path must respect its documented affine error bound and
-//! rank raw sums exactly as dequantized distances (the invariant the
-//! re-ranking pass relies on).
+//! grant.
 
 use proptest::prelude::*;
 
-use fanns_ivf::simd::{int8, kernels, CodeSlab};
+use fanns_ivf::simd::{kernels, CodeSlab};
 use fanns_quantize::pq::DistanceTable;
 
 /// Deterministic xorshift stream for table/code contents.
@@ -76,58 +74,5 @@ proptest! {
         for (i, code) in codes.chunks_exact(m).enumerate() {
             prop_assert_eq!(out[i].to_bits(), lut.adc(code).to_bits());
         }
-    }
-
-    /// Dequantized int8 sums stay within the documented affine error bound
-    /// of the exact f32 distance, and both int8 kernels agree exactly.
-    #[test]
-    fn int8_respects_error_bound_and_kernels_agree(
-        m in 1usize..20,
-        ksub in 2usize..257,
-        len in 1usize..150,
-        seed in 1u64..u64::MAX,
-    ) {
-        let (slab, codes, lut) = random_case(m, ksub, len, seed);
-        let qlut = lut.quantize_i8();
-        let mut portable = vec![0u32; slab.padded_len()];
-        let mut avx2 = vec![0u32; slab.padded_len()];
-        int8::scan_i8_portable(&slab, &qlut, &mut portable);
-        int8::scan_i8_avx2(&slab, &qlut, &mut avx2);
-        prop_assert_eq!(&portable, &avx2);
-        let bound = qlut.max_abs_error() + 1e-3;
-        for (i, code) in codes.chunks_exact(m).enumerate() {
-            let exact = lut.adc(code);
-            let approx = qlut.dequantize(portable[i]);
-            prop_assert!(
-                (approx - exact).abs() <= bound,
-                "code {}: approx {} vs exact {} (bound {})", i, approx, exact, bound
-            );
-        }
-    }
-
-    /// Raw integer sums rank candidates exactly as their dequantized
-    /// distances — the monotone-affine invariant the int8 first pass uses
-    /// to rank without dequantizing.
-    #[test]
-    fn raw_sums_rank_like_dequantized_distances(
-        m in 1usize..20,
-        ksub in 2usize..257,
-        len in 2usize..150,
-        seed in 1u64..u64::MAX,
-    ) {
-        let (slab, _, lut) = random_case(m, ksub, len, seed);
-        let qlut = lut.quantize_i8();
-        let mut sums = vec![0u32; slab.padded_len()];
-        int8::scan_i8_portable(&slab, &qlut, &mut sums);
-        let mut by_raw: Vec<usize> = (0..len).collect();
-        by_raw.sort_by_key(|&i| (sums[i], i));
-        let mut by_deq: Vec<usize> = (0..len).collect();
-        by_deq.sort_by(|&a, &b| {
-            qlut.dequantize(sums[a])
-                .partial_cmp(&qlut.dequantize(sums[b]))
-                .unwrap()
-                .then(a.cmp(&b))
-        });
-        prop_assert_eq!(by_raw, by_deq);
     }
 }

@@ -123,104 +123,6 @@ pub struct DistanceTable {
     table: Vec<f32>,
 }
 
-/// Number of padding bytes appended to a [`QuantizedLut`]'s backing buffer so
-/// that 32-bit gather loads whose *low byte* is the last table entry stay in
-/// bounds (a 4-byte load at offset `m*ksub - 1` reads 3 bytes past the end).
-pub const QLUT_GATHER_PAD: usize = 4;
-
-/// An int8-quantized copy of a [`DistanceTable`]: the affine image
-/// `q[j][c] = round((t[j][c] - min_j) / scale)` stored as one `u8` per entry.
-///
-/// Quantization uses one *global* scale across all rows (so the per-code sum
-/// of quantized entries is an affine image of the f32 ADC distance and can be
-/// accumulated in integer lanes) and a *per-row* bias `min_j` (so every row
-/// uses the full `[0, 255]` range regardless of its offset):
-///
-/// * `scale = max_j(max_j' - min_j') / 255` — the largest row range mapped
-///   onto the 8-bit grid (zero when the table is constant per row),
-/// * `bias = Σ_j min_j` — added back once per distance, not per entry.
-///
-/// The approximate distance for a code is `dequantize(Σ_j q[j][code[j]])`.
-/// Because each entry is rounded to the nearest grid point, the per-entry
-/// error is at most `scale / 2`, so the reconstruction error is bounded by
-/// [`QuantizedLut::max_abs_error`]` = m · scale / 2`. Rankings produced from
-/// quantized sums are therefore correct up to that additive slack; callers
-/// that need exact top-K re-rank the int8 survivors with the f32 table (see
-/// `fanns-ivf`'s int8 scan kernel).
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantizedLut {
-    m: usize,
-    ksub: usize,
-    scale: f32,
-    bias: f32,
-    /// Row-major `m × ksub` entries plus [`QLUT_GATHER_PAD`] zero bytes.
-    table: Vec<u8>,
-}
-
-impl QuantizedLut {
-    /// Number of sub-quantizers (rows).
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Codebook size (columns).
-    pub fn ksub(&self) -> usize {
-        self.ksub
-    }
-
-    /// The global quantization step (0 when every row is constant).
-    pub fn scale(&self) -> f32 {
-        self.scale
-    }
-
-    /// The additive bias `Σ_j min_j` restored by [`QuantizedLut::dequantize`].
-    pub fn bias(&self) -> f32 {
-        self.bias
-    }
-
-    /// The flat row-major `m × ksub` quantized table (padding excluded).
-    pub fn as_flat(&self) -> &[u8] {
-        &self.table[..self.m * self.ksub]
-    }
-
-    /// The backing buffer including [`QLUT_GATHER_PAD`] trailing zero bytes —
-    /// the view SIMD gather kernels index so 4-byte loads anchored at any
-    /// table entry stay in bounds.
-    pub fn as_padded(&self) -> &[u8] {
-        &self.table
-    }
-
-    /// Maps an integer entry sum back to the (approximate) f32 distance.
-    #[inline]
-    pub fn dequantize(&self, entry_sum: u32) -> f32 {
-        entry_sum as f32 * self.scale + self.bias
-    }
-
-    /// Approximate ADC distance of a code through the quantized table.
-    #[inline]
-    pub fn adc_approx(&self, code: &[u8]) -> f32 {
-        debug_assert_eq!(code.len(), self.m);
-        let mut acc = 0u32;
-        for (j, &c) in code.iter().enumerate() {
-            acc += u32::from(self.table[j * self.ksub + c as usize]);
-        }
-        self.dequantize(acc)
-    }
-
-    /// Worst-case absolute error of [`QuantizedLut::adc_approx`] versus the
-    /// f32 table: `m · scale / 2` (each entry rounds to the nearest grid
-    /// point, so it is off by at most half a step).
-    pub fn max_abs_error(&self) -> f32 {
-        self.m as f32 * self.scale * 0.5
-    }
-
-    /// Size of the quantized table in bytes (4× smaller than the f32 table,
-    /// ignoring the constant gather padding).
-    pub fn nbytes(&self) -> usize {
-        self.m * self.ksub
-    }
-}
-
 impl DistanceTable {
     /// Builds a table directly from a flat row-major `m × ksub` buffer
     /// (tests and caches that reconstruct tables without a quantizer).
@@ -261,59 +163,6 @@ impl DistanceTable {
     /// ```
     pub fn as_flat(&self) -> &[f32] {
         &self.table
-    }
-
-    /// Quantizes the table to one byte per entry with a global scale and
-    /// per-row bias (see [`QuantizedLut`]). The affine reconstruction error
-    /// of any ADC distance is bounded by [`QuantizedLut::max_abs_error`]:
-    ///
-    /// ```
-    /// use fanns_quantize::pq::DistanceTable;
-    /// let t = DistanceTable::from_flat(2, 4, vec![0.0, 1.0, 4.0, 2.0, 7.0, 5.0, 6.0, 9.0]);
-    /// let q = t.quantize_i8();
-    /// // Every code's approximate distance is within m·scale/2 of exact.
-    /// for code in [[0u8, 0], [2, 3], [1, 2]] {
-    ///     let exact = t.adc(&code);
-    ///     let approx = q.adc_approx(&code);
-    ///     assert!((approx - exact).abs() <= q.max_abs_error() + 1e-6);
-    /// }
-    /// // A constant table quantizes exactly (scale collapses to zero).
-    /// let flat = DistanceTable::from_flat(2, 2, vec![3.0; 4]);
-    /// let q = flat.quantize_i8();
-    /// assert_eq!(q.scale(), 0.0);
-    /// assert_eq!(q.adc_approx(&[1, 0]), 6.0);
-    /// ```
-    pub fn quantize_i8(&self) -> QuantizedLut {
-        let mut mins = vec![0.0f32; self.m];
-        let mut max_range = 0.0f32;
-        for (j, min) in mins.iter_mut().enumerate() {
-            let row = self.row(j);
-            let mut lo = f32::INFINITY;
-            let mut hi = f32::NEG_INFINITY;
-            for &v in row {
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-            *min = lo;
-            max_range = max_range.max(hi - lo);
-        }
-        let scale = max_range / 255.0;
-        let inv_scale = if scale > 0.0 { 1.0 / scale } else { 0.0 };
-        let mut table = Vec::with_capacity(self.m * self.ksub + QLUT_GATHER_PAD);
-        for (j, &bias) in mins.iter().enumerate() {
-            for &v in self.row(j) {
-                let q = ((v - bias) * inv_scale).round().clamp(0.0, 255.0);
-                table.push(q as u8);
-            }
-        }
-        table.resize(self.m * self.ksub + QLUT_GATHER_PAD, 0);
-        QuantizedLut {
-            m: self.m,
-            ksub: self.ksub,
-            scale,
-            bias: mins.iter().sum(),
-            table,
-        }
     }
 
     /// Asymmetric distance to a PQ code: `sum_i table[i][code[i]]`.
@@ -670,41 +519,6 @@ mod tests {
         assert_eq!(table.as_flat().len(), 64);
         assert_eq!(table.nbytes(), 64 * 4);
         assert_eq!(table.row(2).len(), 16);
-    }
-
-    #[test]
-    fn quantized_lut_error_stays_within_bound() {
-        let (pq, data) = small_pq();
-        let table = pq.build_distance_table(&data[..8]);
-        let q = table.quantize_i8();
-        assert_eq!(q.m(), table.m());
-        assert_eq!(q.ksub(), table.ksub());
-        assert_eq!(q.as_flat().len(), table.as_flat().len());
-        assert_eq!(q.as_padded().len(), q.as_flat().len() + QLUT_GATHER_PAD);
-        assert!(q.as_padded()[q.nbytes()..].iter().all(|&b| b == 0));
-        let bound = q.max_abs_error() + 1e-5;
-        for i in 0..32 {
-            let code = pq.encode(&data[i * 8..(i + 1) * 8]);
-            let exact = table.adc(&code);
-            let approx = q.adc_approx(&code);
-            assert!(
-                (approx - exact).abs() <= bound,
-                "code {i}: approx {approx} vs exact {exact}, bound {bound}"
-            );
-        }
-    }
-
-    #[test]
-    fn quantized_lut_rows_use_full_range() {
-        // Two rows with very different offsets: the per-row bias must absorb
-        // the offset so both rows quantize accurately.
-        let t = DistanceTable::from_flat(2, 3, vec![0.0, 5.0, 10.0, 1000.0, 1005.0, 1010.0]);
-        let q = t.quantize_i8();
-        assert!((q.bias() - 1000.0).abs() < 1e-6);
-        for code in [[0u8, 0], [2, 2], [1, 0]] {
-            let exact = t.adc(&code);
-            assert!((q.adc_approx(&code) - exact).abs() <= q.max_abs_error() + 1e-5);
-        }
     }
 
     #[test]

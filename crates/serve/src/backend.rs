@@ -240,8 +240,7 @@ impl CpuBackend {
 
     /// Builder-style scan-kernel pin: forces every query this backend serves
     /// through the given ADC scan kernel instead of the process default.
-    /// The f32 kernels are bit-identical; [`ScanKernel::Int8`] trades the
-    /// quantized first pass for exact re-ranking (recall-preserving).
+    /// Every kernel returns bit-identical results.
     pub fn with_kernel(mut self, kernel: ScanKernel) -> Self {
         self.kernel = Some(kernel);
         self
