@@ -17,13 +17,19 @@
 //!   `*_gbps`, `*_speedup`).
 //! * **fused** — the full scan+select stage the serving path executes
 //!   (`stage_scan_and_select_with`, Stage PQDist + SelK), reported as
-//!   `*_fused_mcodes_per_s` so the end-to-end win stays visible next to the
-//!   kernel-only number.
+//!   `*_fused_effective_mcodes_per_s` (codes in the probed lists over time)
+//!   so the end-to-end win stays visible next to the kernel-only number.
+//!   The slab kernels prune here — they skip 32-code groups that cannot
+//!   enter the top k — so each fused row also reports the share of codes
+//!   pruned. The raw **scan** rows never prune: they are the roofline.
 //!
 //! The binary asserts the tentpole target at the end: the best f32 SIMD
 //! *scan* speedup must reach 4x (AVX2 hosts) or 1.5x (portable-only hosts)
 //! over the scalar reference — override with `FANNS_SCAN_GATE` for exotic
-//! hosts.
+//! hosts. It also exits non-zero when a slab kernel's fused results differ
+//! from the scalar kernel's in any id or distance bit, or when its pruned
+//! share falls below `PRUNED_SHARE_FLOOR`, so pruning cannot be switched
+//! off unnoticed.
 //!
 //! Each sweep point also prints one **prefix** row per distance-kernel tier
 //! (`fanns_quantize::distance`): coarse quantisation (`all_l2` over the
@@ -67,8 +73,11 @@ struct KernelRow {
     scan_gbps: f64,
     /// Scan-only throughput relative to the scalar reference.
     speedup_vs_scalar: f64,
-    /// Fused scan+select (Stage PQDist + SelK) throughput, Mcodes/s.
-    fused_mcodes_per_s: f64,
+    /// Fused scan+select (Stage PQDist + SelK) throughput, Mcodes/s of
+    /// codes in the probed lists, pruned or not.
+    fused_effective_mcodes_per_s: f64,
+    /// Share of the probed codes the fused stage pruned (0 for `scalar`).
+    fused_pruned_share: f64,
 }
 
 /// One distance-kernel tier at one sweep point, printed as a JSON row.
@@ -175,8 +184,17 @@ fn time_scan(
     best
 }
 
+/// What one kernel's fused stage returned on the untimed warm-up pass.
+struct FusedPass {
+    /// Per query, the `(id, distance bits)` results in order.
+    results: Vec<Vec<(u32, u32)>>,
+    /// Codes pruned over the whole pass.
+    pruned: usize,
+}
+
 /// Times `reps` passes of the fused scan+select stage and returns the
-/// minimum single-pass seconds (same min-of-reps estimator as `time_scan`).
+/// minimum single-pass seconds (same min-of-reps estimator as `time_scan`),
+/// plus the results and pruning count of the warm-up pass.
 fn time_fused(
     index: &IvfPqIndex,
     prepared: &[PreparedQuery],
@@ -184,11 +202,16 @@ fn time_fused(
     kernel: ScanKernel,
     reps: usize,
     scratch: &mut ScanScratch,
-) -> f64 {
+) -> (f64, FusedPass) {
+    let mut warm = FusedPass {
+        results: Vec::with_capacity(prepared.len()),
+        pruned: 0,
+    };
     for p in prepared {
-        std::hint::black_box(stage_scan_and_select_with(
-            index, &p.cells, &p.lut, k, kernel, scratch,
-        ));
+        let hits = stage_scan_and_select_with(index, &p.cells, &p.lut, k, kernel, scratch);
+        warm.pruned += scratch.pruned();
+        let bits = hits.iter().map(|h| (h.id, h.distance.to_bits()));
+        warm.results.push(bits.collect());
     }
     let mut best = f64::INFINITY;
     for _ in 0..reps {
@@ -200,8 +223,15 @@ fn time_fused(
         }
         best = best.min(start.elapsed().as_secs_f64());
     }
-    best
+    (best, warm)
 }
+
+/// The least share of probed codes a slab kernel's fused stage must prune
+/// at every sweep point: half the smallest share measured at
+/// `FANNS_SCALE=small` (k = 10, nprobe = nlist / 4), where every point
+/// pruned 0.70 to 0.74 of its codes. The share is a property of the data
+/// and the search parameters, not of the host, so it holds on any runner.
+const PRUNED_SHARE_FLOOR: f64 = 0.35;
 
 /// The loop both prefix stages ran on before they were vectorised.
 fn scalar_l2(a: &[f32], b: &[f32]) -> f32 {
@@ -272,6 +302,25 @@ fn time_prefix(
     (coarse * per_query_us, build * per_query_us)
 }
 
+/// What is wrong with a slab kernel's fused row: results that differ from
+/// the scalar row's, or a pruned share under the floor.
+fn fused_failures(
+    results: &[Vec<(u32, u32)>],
+    scalar: &[Vec<(u32, u32)>],
+    pruned_share: f64,
+) -> Vec<String> {
+    let mut failures = Vec::new();
+    if let Some(q) = (0..scalar.len()).find(|&q| results.get(q) != scalar.get(q)) {
+        failures.push(format!("fused results differ from scalar at query {q}"));
+    }
+    if pruned_share < PRUNED_SHARE_FLOOR {
+        failures.push(format!(
+            "pruned share {pruned_share:.3} under the {PRUNED_SHARE_FLOOR} floor"
+        ));
+    }
+    failures
+}
+
 /// The speedup gate: `FANNS_SCAN_GATE` when set, else `default_gate`.
 fn gate_from_env(default_gate: f64) -> f64 {
     std::env::var("FANNS_SCAN_GATE")
@@ -309,6 +358,7 @@ fn main() {
 
     let mut canonical: BTreeMap<String, f64> = BTreeMap::new();
     let mut best_f32_speedup = 0.0f64;
+    let mut fused_tripwire: Vec<String> = Vec::new();
     let mut prefix_metrics: BTreeMap<String, f64> = BTreeMap::new();
     // Per tier, the best (coarse, LUT) speedup over the sweep.
     let mut best_prefix_speedup: BTreeMap<&'static str, (f64, f64)> = BTreeMap::new();
@@ -327,13 +377,23 @@ fn main() {
             let mut dists = Vec::new();
 
             let mut scalar_codes_per_s = 0.0f64;
+            let mut scalar_results = Vec::new();
             for kernel in ALL_KERNELS {
                 if !kernel.is_available() {
                     eprintln!("scan_kernels: skipping {kernel} (unavailable on this host)");
                     continue;
                 }
                 let scan_secs = time_scan(&index, &prepared, kernel, reps, &mut dists);
-                let fused_secs = time_fused(&index, &prepared, k, kernel, reps, &mut scratch);
+                let (fused_secs, fused) =
+                    time_fused(&index, &prepared, k, kernel, reps, &mut scratch);
+                let pruned_share = fused.pruned as f64 / pass_codes.max(1) as f64;
+                if kernel == ScanKernel::Scalar {
+                    scalar_results = fused.results;
+                } else {
+                    let failures = fused_failures(&fused.results, &scalar_results, pruned_share);
+                    let point = format!("{kernel} m={m} nlist={nlist}");
+                    fused_tripwire.extend(failures.into_iter().map(|f| format!("{point}: {f}")));
+                }
                 let codes_per_s = pass_codes as f64 / scan_secs.max(1e-12);
                 if kernel == ScanKernel::Scalar {
                     scalar_codes_per_s = codes_per_s;
@@ -354,7 +414,8 @@ fn main() {
                     mcodes_per_s: codes_per_s / 1e6,
                     scan_gbps: codes_per_s * m as f64 / 1e9,
                     speedup_vs_scalar: speedup,
-                    fused_mcodes_per_s: pass_codes as f64 / fused_secs.max(1e-12) / 1e6,
+                    fused_effective_mcodes_per_s: pass_codes as f64 / fused_secs.max(1e-12) / 1e6,
+                    fused_pruned_share: pruned_share,
                 };
                 println!(
                     "{}",
@@ -364,7 +425,11 @@ fn main() {
                 canonical.insert(format!("{key}_mcodes_per_s"), row.mcodes_per_s);
                 canonical.insert(format!("{key}_gbps"), row.scan_gbps);
                 canonical.insert(format!("{key}_speedup"), row.speedup_vs_scalar);
-                canonical.insert(format!("{key}_fused_mcodes_per_s"), row.fused_mcodes_per_s);
+                canonical.insert(
+                    format!("{key}_fused_effective_mcodes_per_s"),
+                    row.fused_effective_mcodes_per_s,
+                );
+                canonical.insert(format!("{key}_fused_pruned_share"), row.fused_pruned_share);
             }
 
             let rotated: Vec<Vec<f32>> = (0..workload.queries.len())
@@ -415,6 +480,15 @@ fn main() {
         canonical.len(),
         prefix_metrics.len(),
         out.display()
+    );
+
+    for failure in &fused_tripwire {
+        eprintln!("scan_kernels: {failure}");
+    }
+    assert!(
+        fused_tripwire.is_empty(),
+        "{} fused-stage check(s) failed",
+        fused_tripwire.len()
     );
 
     // The tentpole acceptance gate: vectorized f32 scan must beat the scalar

@@ -355,9 +355,14 @@ std::thread_local! {
         std::cell::RefCell::new(ScanScratch::new());
 }
 
-/// Runs `f` with this thread's reusable scratch.
-pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut ScanScratch) -> R) -> R {
-    SCAN_SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
+/// Runs `f` with this thread's reusable scratch. A nested call on the same
+/// thread (a backend whose search calls into another one) gets a fresh
+/// scratch instead of the one its caller holds.
+pub fn with_thread_scratch<R>(f: impl FnOnce(&mut ScanScratch) -> R) -> R {
+    SCAN_SCRATCH.with(|scratch| match scratch.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        Err(_) => f(&mut ScanScratch::new()),
+    })
 }
 
 /// Stages PQDist + SelK fused: scan the selected cells, computing ADC
@@ -381,7 +386,9 @@ pub fn stage_scan_and_select<S: IvfSource + ?Sized>(
 }
 
 /// [`stage_scan_and_select`] with an explicit kernel and caller-owned
-/// scratch. Every kernel returns bit-identical results.
+/// scratch. Every kernel returns bit-identical results; the slab kernels
+/// skip codes that cannot enter the top `k` (counted in
+/// [`ScanScratch::pruned`]).
 pub fn stage_scan_and_select_with<S: IvfSource + ?Sized>(
     index: &S,
     cells: &[usize],
@@ -390,23 +397,7 @@ pub fn stage_scan_and_select_with<S: IvfSource + ?Sized>(
     kernel: ScanKernel,
     scratch: &mut ScanScratch,
 ) -> Vec<SearchResult> {
-    match kernel {
-        ScanKernel::Scalar => {
-            let m = index.m();
-            let mut topk = TopK::new(k);
-            for &cell in cells {
-                let ids = index.list_ids(cell);
-                for (slot, code) in index.list_codes(cell).chunks_exact(m).enumerate() {
-                    let d = lut.adc(code);
-                    topk.push(d, ids[slot]);
-                }
-            }
-            topk.into_sorted()
-        }
-        ScanKernel::Portable | ScanKernel::Avx2 => {
-            simd::scan_and_select_f32(index, cells, lut, k, kernel, scratch)
-        }
-    }
+    simd::scan_and_select(index, cells, lut, k, kernel, scratch)
 }
 
 /// Stage SelK alone: select the `k` best candidates from the PQDist output.

@@ -125,10 +125,11 @@ pub fn default_kernel() -> ScanKernel {
 }
 
 /// Reusable per-thread scratch for a query: the prefix buffers (rotated
-/// query, centroid distances, probed cells, lookup table), the slab
-/// kernels' distance buffer sized to the largest probed cell, and the split
-/// path's candidate pairs. One instance per searcher thread removes every
-/// per-query allocation from the pipeline except the returned result list.
+/// query, centroid distances, probed cells, lookup table), the split path's
+/// distance buffer (sized to the largest probed cell) and candidate pairs,
+/// and the pruning count of the last fused scan. One instance per searcher
+/// thread removes every per-query allocation from the pipeline except the
+/// returned result list.
 #[derive(Debug, Default, Clone)]
 pub struct ScanScratch {
     /// Output buffers of the query prefix.
@@ -137,6 +138,8 @@ pub struct ScanScratch {
     dists: Vec<f32>,
     /// Candidate pairs for the split PQDist stage (id, distance).
     pairs: Vec<(u32, f32)>,
+    /// Codes the last fused scan skipped by threshold pruning.
+    pruned: usize,
 }
 
 impl ScanScratch {
@@ -148,6 +151,13 @@ impl ScanScratch {
     /// The (id, distance) candidate buffer of the last split-stage scan.
     pub fn pairs(&self) -> &[(u32, f32)] {
         &self.pairs
+    }
+
+    /// Codes the last fused scan ([`crate::search::stage_scan_and_select_with`])
+    /// pruned: skipped against the top-k threshold before all `m` lookups.
+    /// Always 0 after a [`ScanKernel::Scalar`] scan, which never prunes.
+    pub fn pruned(&self) -> usize {
+        self.pruned
     }
 
     /// Runs `f` with the prefix buffers split off from the rest of the
@@ -167,10 +177,13 @@ impl ScanScratch {
     }
 }
 
-/// Scans the selected cells with an f32 slab kernel and keeps the best `k`
-/// — the vectorized fused Stage PQDist + SelK. Bit-identical to the scalar
-/// reference for any list content.
-pub fn scan_and_select_f32<S: IvfSource + ?Sized>(
+/// Scans the selected cells with `kernel` and keeps the best `k` — the
+/// fused Stage PQDist + SelK behind
+/// [`crate::search::stage_scan_and_select_with`]. The slab kernels prune
+/// against the running top-k threshold and record the codes pruned in
+/// `scratch`; [`ScanKernel::Scalar`] computes every distance and is the
+/// reference they equal bit for bit.
+pub(crate) fn scan_and_select<S: IvfSource + ?Sized>(
     index: &S,
     cells: &[usize],
     lut: &DistanceTable,
@@ -179,20 +192,24 @@ pub fn scan_and_select_f32<S: IvfSource + ?Sized>(
     scratch: &mut ScanScratch,
 ) -> Vec<SearchResult> {
     let mut topk = TopK::new(k);
+    scratch.pruned = 0;
     for &cell in cells {
-        let slab = index.slab(cell);
-        if slab.is_empty() {
-            continue;
-        }
-        scratch.dists.resize(slab.padded_len(), 0.0);
-        match kernel {
-            ScanKernel::Avx2 => kernels::scan_f32_avx2(slab, lut, &mut scratch.dists),
-            _ => kernels::scan_f32_portable(slab, lut, &mut scratch.dists),
-        }
         let ids = index.list_ids(cell);
-        for (slot, &d) in scratch.dists[..slab.len()].iter().enumerate() {
-            topk.push(d, ids[slot]);
-        }
+        scratch.pruned += match kernel {
+            ScanKernel::Scalar => {
+                let codes = index.list_codes(cell).chunks_exact(index.m());
+                for (&id, code) in ids.iter().zip(codes) {
+                    topk.push(lut.adc(code), id);
+                }
+                0
+            }
+            ScanKernel::Portable => {
+                kernels::scan_select_f32_portable(index.slab(cell), lut, ids, &mut topk)
+            }
+            ScanKernel::Avx2 => {
+                kernels::scan_select_f32_avx2(index.slab(cell), lut, ids, &mut topk)
+            }
+        };
     }
     topk.into_sorted()
 }

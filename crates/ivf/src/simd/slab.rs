@@ -44,6 +44,9 @@ struct Chunk([u8; SLAB_ALIGN]);
 pub struct CodeSlab {
     m: usize,
     len: usize,
+    /// The largest code byte stored (0 when empty): the scan kernels check
+    /// it against the LUT's `ksub` once per list instead of per gather.
+    max_code: u8,
     chunks: Vec<Chunk>,
 }
 
@@ -100,7 +103,13 @@ impl CodeSlab {
                 }
             }
         }
-        Self { m, len, chunks }
+        let max_code = codes.iter().copied().max().unwrap_or(0);
+        Self {
+            m,
+            len,
+            max_code,
+            chunks,
+        }
     }
 
     /// Number of codes stored (padding lanes excluded).
@@ -116,6 +125,11 @@ impl CodeSlab {
     /// Bytes per code (number of PQ sub-quantizers).
     pub fn m(&self) -> usize {
         self.m
+    }
+
+    /// The largest code byte stored (0 for an empty slab).
+    pub fn max_code(&self) -> usize {
+        self.max_code as usize
     }
 
     /// Number of [`BLOCK`]-code transposed blocks (the tail block padded).

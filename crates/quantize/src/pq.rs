@@ -115,7 +115,14 @@ impl Deserialize for ProductQuantizer {
 
 /// A per-query asymmetric-distance lookup table: `m` rows of `ksub` partial
 /// squared distances. Summing one entry per row reproduces Equation 1.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// Every entry is a squared distance, so it is `>= 0` or NaN (a NaN or
+/// infinite query component yields NaN or `+inf` entries; never a negative
+/// one). The pruning scan kernels rely on this: a code's partial sum over
+/// its first rows never exceeds its full sum. [`DistanceTable::from_flat`]
+/// asserts it, and [`ProductQuantizer::build_distance_table_into`] holds it
+/// by construction (it sums squares).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DistanceTable {
     m: usize,
     ksub: usize,
@@ -125,12 +132,17 @@ pub struct DistanceTable {
 
 impl DistanceTable {
     /// Builds a table directly from a flat row-major `m × ksub` buffer
-    /// (tests and caches that reconstruct tables without a quantizer).
+    /// (tests that construct tables without a quantizer).
     ///
     /// # Panics
-    /// Panics if `table.len() != m * ksub`.
+    /// Panics if `table.len() != m * ksub` or an entry is negative (see the
+    /// type's docs; NaN is allowed).
     pub fn from_flat(m: usize, ksub: usize, table: Vec<f32>) -> Self {
         assert_eq!(table.len(), m * ksub, "table must be m x ksub entries");
+        assert!(
+            !table.iter().any(|&x| x < 0.0),
+            "lookup-table entries are squared distances: none may be negative"
+        );
         Self { m, ksub, table }
     }
 

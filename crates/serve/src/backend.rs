@@ -21,7 +21,7 @@ use fanns_codegen::plan::{instantiate, AcceleratorPlan};
 use fanns_ivf::flat::FlatIndex;
 use fanns_ivf::index::IvfPqIndex;
 use fanns_ivf::params::{IvfPqParams, SearchStage};
-use fanns_ivf::search::{stage_scan_and_select_with, SearchResult};
+use fanns_ivf::search::{stage_scan_and_select_with, with_thread_scratch, SearchResult};
 use fanns_ivf::simd::{default_kernel, ScanKernel, ScanScratch};
 use fanns_ivf::source::IvfSource;
 use fanns_ivf::storage::{MappedIndex, StorageError};
@@ -334,17 +334,18 @@ impl SearchBackend for CpuBackend {
             let on = batch_traced().unwrap_or_else(|| sink.self_sample());
             on.then_some(sink)
         });
-        // One scratch (kernel lanes + candidate buffers) amortized over the
-        // whole batch; each engine worker drives its own backend call, so
-        // this stays free of cross-thread contention.
-        let mut scratch = ScanScratch::new();
-        queries
-            .iter()
-            .map(|q| BackendResponse {
-                results: self.search_one(traced, q, &mut scratch),
-                simulated_us: None,
-            })
-            .collect()
+        // This thread's scratch (prefix buffers, LUT, candidate buffers),
+        // reused across batches: each engine worker drives its own backend
+        // call, so this stays free of cross-thread contention.
+        with_thread_scratch(|scratch| {
+            queries
+                .iter()
+                .map(|q| BackendResponse {
+                    results: self.search_one(traced, q, scratch),
+                    simulated_us: None,
+                })
+                .collect()
+        })
     }
 }
 
@@ -512,6 +513,12 @@ mod tests {
         for (resp, expect) in responses.iter().zip(&direct) {
             assert_eq!(&resp.results, expect);
             assert!(resp.simulated_us.is_none());
+        }
+        // Called from inside a backend that holds this thread's scratch (a
+        // wrapping backend): no double borrow, same results.
+        let nested = with_thread_scratch(|_| backend.search_batch(&qs));
+        for (resp, expect) in nested.iter().zip(&direct) {
+            assert_eq!(&resp.results, expect);
         }
     }
 

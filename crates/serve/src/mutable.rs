@@ -39,7 +39,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fanns_ivf::params::IvfPqParams;
-use fanns_ivf::search::SearchResult;
+use fanns_ivf::search::{with_thread_scratch, SearchResult};
 use fanns_ivf::segmented::{CompactionReport, SegmentedIndex};
 use fanns_ivf::simd::{default_kernel, ScanKernel, ScanScratch};
 
@@ -181,26 +181,27 @@ impl SearchBackend for MutableBackend {
             let on = batch_traced().unwrap_or_else(|| sink.self_sample());
             on.then_some(sink)
         });
-        let mut scratch = ScanScratch::new();
-        queries
-            .iter()
-            .map(|q| {
-                let results = match traced {
-                    Some(sink) => {
-                        let qid = sink.next_id();
-                        let t0 = Instant::now();
-                        let results = self.search_one(q, &mut scratch);
-                        sink.record_range(Stage::SegmentScan, qid, t0, Instant::now());
-                        results
+        with_thread_scratch(|scratch| {
+            queries
+                .iter()
+                .map(|q| {
+                    let results = match traced {
+                        Some(sink) => {
+                            let qid = sink.next_id();
+                            let t0 = Instant::now();
+                            let results = self.search_one(q, scratch);
+                            sink.record_range(Stage::SegmentScan, qid, t0, Instant::now());
+                            results
+                        }
+                        None => self.search_one(q, scratch),
+                    };
+                    BackendResponse {
+                        results,
+                        simulated_us: None,
                     }
-                    None => self.search_one(q, &mut scratch),
-                };
-                BackendResponse {
-                    results,
-                    simulated_us: None,
-                }
-            })
-            .collect()
+                })
+                .collect()
+        })
     }
 
     fn supports_mutation(&self) -> bool {
