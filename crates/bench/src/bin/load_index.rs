@@ -12,7 +12,8 @@
 //! workload:
 //!
 //! 1. **build** — full in-memory training + population (the cost a restart
-//!    pays *without* the storage layer),
+//!    pays *without* the storage layer), reported whole and split into its
+//!    two layers, **train** (k-means, PQ) and **add** (assign + encode),
 //! 2. **write** — serialising the index to the versioned checksummed format,
 //! 3. **open** — `mmap` + full checksum/alignment validation
 //!    ([`fanns_ivf::storage::open_index`]) — the cold-start cost,
@@ -28,11 +29,11 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use fanns_bench::{baseline, build_index, print_header, sift_workload, Scale};
+use fanns_bench::{baseline, print_header, sift_workload, train_config, Scale};
 use fanns_ivf::params::IvfPqParams;
 use fanns_ivf::simd::ALL_KERNELS;
 use fanns_ivf::storage::open_index;
-use fanns_ivf::CpuSearcher;
+use fanns_ivf::{CpuSearcher, IvfPqIndex};
 
 fn main() {
     let scale = Scale::from_env();
@@ -43,13 +44,17 @@ fn main() {
     let workload = sift_workload(scale);
     let nlist = scale.default_nlist();
 
-    // This bench *measures* the build; the figure-binary index cache would
-    // short-circuit it and corrupt the open/build ratio.
-    std::env::remove_var("FANNS_INDEX_DIR");
-
-    let t_build = Instant::now();
-    let index = build_index(&workload, nlist, false, 42);
-    let build_s = t_build.elapsed().as_secs_f64();
+    // This bench *measures* the build, so it trains and adds here rather
+    // than through the figure binaries' index cache (`build_index`), timing
+    // each layer.
+    let config = train_config(nlist, false, 42);
+    let t_train = Instant::now();
+    let mut index = IvfPqIndex::train(&workload.database, &config);
+    let train_s = t_train.elapsed().as_secs_f64();
+    let t_add = Instant::now();
+    index.add(&workload.database, 0);
+    let add_s = t_add.elapsed().as_secs_f64();
+    let build_s = train_s + add_s;
 
     let dir = std::env::temp_dir().join(format!("fanns-load-index-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
@@ -74,8 +79,8 @@ fn main() {
         slab_bytes as f64 / (1024.0 * 1024.0),
     );
     println!(
-        "build={:.3}s write={:.3}s open={:.6}s warm={:.6}s",
-        build_s, write_s, open_s, warm_s
+        "build={:.3}s (train={:.3}s add={:.3}s) write={:.3}s open={:.6}s warm={:.6}s",
+        build_s, train_s, add_s, write_s, open_s, warm_s
     );
 
     // Equivalence probe: the mapped index must return bit-identical results
@@ -120,6 +125,8 @@ fn main() {
 
     let mut metrics = BTreeMap::new();
     metrics.insert("build_ms".to_string(), build_s * 1e3);
+    metrics.insert("train_ms".to_string(), train_s * 1e3);
+    metrics.insert("add_ms".to_string(), add_s * 1e3);
     metrics.insert("write_ms".to_string(), write_s * 1e3);
     metrics.insert("open_ms".to_string(), open_s * 1e3);
     metrics.insert("warm_ms".to_string(), warm_s * 1e3);

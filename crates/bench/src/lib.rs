@@ -116,6 +116,17 @@ fn build_workload(name: &str, spec: SyntheticSpec) -> Workload {
     }
 }
 
+/// The training configuration [`build_index`] uses: the paper's m=16
+/// codes, 256-entry codebooks and a 30 000-vector training sample.
+pub fn train_config(nlist: usize, opq: bool, seed: u64) -> IvfPqTrainConfig {
+    IvfPqTrainConfig::new(nlist)
+        .with_m(16)
+        .with_ksub(256)
+        .with_opq(opq)
+        .with_train_sample(30_000)
+        .with_seed(seed)
+}
+
 /// Builds an IVF-PQ index on a workload with the paper's m=16 codes.
 ///
 /// When `FANNS_INDEX_DIR` names a directory, built indexes are persisted
@@ -125,12 +136,7 @@ fn build_workload(name: &str, spec: SyntheticSpec) -> Workload {
 /// file that fails validation (corruption, format bump) is rebuilt, not
 /// trusted.
 pub fn build_index(workload: &Workload, nlist: usize, opq: bool, seed: u64) -> IvfPqIndex {
-    let cfg = IvfPqTrainConfig::new(nlist)
-        .with_m(16)
-        .with_ksub(256)
-        .with_opq(opq)
-        .with_train_sample(30_000)
-        .with_seed(seed);
+    let cfg = train_config(nlist, opq, seed);
     let cache_path = std::env::var_os("FANNS_INDEX_DIR").map(|dir| {
         std::path::PathBuf::from(dir).join(format!(
             "{}-n{}-nlist{nlist}-opq{}-seed{seed}.fanns",

@@ -1,9 +1,9 @@
 //! Squared-L2 distance kernels: one reduction order, two implementations.
 //!
 //! Every similarity evaluation outside the ADC scan — coarse centroid
-//! distances (Stage IVFDist), k-means assignment, sub-quantizer distances
-//! (Stage BuildLUT, PQ encoding), exact scans and ground truth — runs on the
-//! two kernels in this module. Each exists in a safe-Rust [`SimdTier::Portable`]
+//! distances (Stage IVFDist), k-means training and assignment, sub-quantizer
+//! distances (Stage BuildLUT, PQ encoding), exact scans and ground truth —
+//! runs on the three kernels in this module. Each exists in a safe-Rust [`SimdTier::Portable`]
 //! form and an AVX2-intrinsics [`SimdTier::Avx2`] form that return
 //! **bit-identical** results, because both follow the same order of f32
 //! operations (and neither fuses a multiply into an add):
@@ -19,6 +19,13 @@
 //!   vector's sum runs over the dimensions in index order — the order of a
 //!   plain `for` loop, so lookup tables and PQ codes are unchanged by
 //!   vectorisation.
+//! * **Block kernel** ([`SimdTier::argmin_l2_blocks`],
+//!   [`SimdTier::l2_blocks`]: the vectors are rows re-laid as
+//!   [`RowBlocks`], 8 rows per dimension-major block). The row kernel's
+//!   canonical order with the lanes over the 8 rows of a block — one
+//!   accumulator register per lane position — so it returns the row
+//!   kernel's results bit for bit without a horizontal reduction per
+//!   distance. k-means training runs on it.
 //!
 //! The free functions run on [`SimdTier::process_default`]; the methods on
 //! [`SimdTier`] pin a tier (benches, equivalence tests).
@@ -89,6 +96,111 @@ impl SimdTier {
         out.clear();
         out.resize(centroids.len() / dim, 0.0);
         l2_rows(self, vector, centroids, out);
+    }
+
+    /// [`argmin_l2`] over rows laid out as [`RowBlocks`], on the block
+    /// kernel: the same `(index, distance)` as
+    /// `argmin_l2(vector, rows, dim)` on the row-major rows, bit for bit.
+    ///
+    /// # Panics
+    /// Panics if `vector` and the rows differ in length.
+    pub fn argmin_l2_blocks(self, vector: &[f32], rows: &RowBlocks) -> (usize, f32) {
+        assert_eq!(vector.len(), rows.dim, "vector and rows differ in dim");
+        let (lane_min, lane_block) = block_lane_minima(self, vector, &rows.blocks);
+        // The first minimum over the lanes: lane `l` of block `b` is row
+        // `8b + l`, and each lane holds its own first minimum.
+        let (mut best, mut best_d) = (0usize, f32::INFINITY);
+        for l in 0..LANES {
+            let at = lane_block[l] as usize * LANES + l;
+            let d = lane_min[l];
+            if d < best_d || (d == best_d && d < f32::INFINITY && at < best) {
+                best = at;
+                best_d = d;
+            }
+        }
+        // The rows after the last whole block come later than every block
+        // row, so a strict `<` keeps ties low.
+        let head = rows.blocks.len() / rows.dim;
+        let mut tail = [0.0f32; LANES];
+        let tail = &mut tail[..rows.tail.len() / rows.dim];
+        l2_rows(self, vector, &rows.tail, tail);
+        for (i, &d) in tail.iter().enumerate() {
+            if d < best_d {
+                best = head + i;
+                best_d = d;
+            }
+        }
+        (best, best_d)
+    }
+
+    /// `out[r]` = squared L2 distance between `vector` and row `r` of
+    /// `rows`, on the block kernel. Equals `l2_sq(row r, vector)` bit for bit
+    /// (the kernel computes `vector - row`, and `(a - b)²` is `(b - a)²` in
+    /// IEEE f32).
+    ///
+    /// # Panics
+    /// Panics if `vector` and the rows differ in length, or unless
+    /// `out.len() == rows.len()`.
+    pub fn l2_blocks(self, vector: &[f32], rows: &RowBlocks, out: &mut [f32]) {
+        assert_eq!(vector.len(), rows.dim, "vector and rows differ in dim");
+        assert_eq!(out.len(), rows.len(), "one output per row");
+        let (head, tail) = out.split_at_mut(rows.blocks.len() / rows.dim);
+        block_sweep(self, vector, &rows.blocks, head);
+        l2_rows(self, vector, &rows.tail, tail);
+    }
+}
+
+/// Row-major vectors re-laid for the block kernel
+/// ([`SimdTier::argmin_l2_blocks`], [`SimdTier::l2_blocks`]). Each whole
+/// block of 8 rows is stored dimension-major, so the kernel's lanes run over
+/// the block's rows; the `len % 8` rows after the last whole block stay
+/// row-major and go through the row kernel.
+#[derive(Debug, Clone)]
+pub struct RowBlocks {
+    dim: usize,
+    /// `blocks[(b * dim + d) * 8 + l]` is component `d` of row `8b + l`.
+    blocks: Vec<f32>,
+    tail: Vec<f32>,
+}
+
+impl RowBlocks {
+    /// Re-lays the flat row-major `rows` (`dim` floats each).
+    ///
+    /// # Panics
+    /// Panics if `dim == 0` or `rows.len()` is not a multiple of `dim`.
+    pub fn new(rows: &[f32], dim: usize) -> Self {
+        assert!(dim > 0, "dimension must be positive");
+        assert!(
+            rows.len().is_multiple_of(dim),
+            "rows length must be a multiple of dim"
+        );
+        let head = rows.len() - rows.len() % (LANES * dim);
+        let mut blocks = vec![0.0f32; head];
+        for (src, dst) in rows[..head]
+            .chunks_exact(LANES * dim)
+            .zip(blocks.chunks_exact_mut(LANES * dim))
+        {
+            for (l, row) in src.chunks_exact(dim).enumerate() {
+                for (d, &x) in row.iter().enumerate() {
+                    dst[d * LANES + l] = x;
+                }
+            }
+        }
+        Self {
+            dim,
+            blocks,
+            tail: rows[head..].to_vec(),
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        (self.blocks.len() + self.tail.len()) / self.dim
+    }
+
+    /// Whether there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -208,6 +320,91 @@ pub(crate) fn l2_columns(tier: SimdTier, v: &[f32], columns: &[f32], out: &mut [
             let d = q - x;
             *o += d * d;
         }
+    }
+}
+
+/// Block kernel: the squared L2 distances from `x` to the 8 rows of one
+/// dimension-major `block`, each in the canonical reduction order. Lane `l`
+/// runs row `l`'s row-kernel arithmetic: component `i` goes into
+/// accumulator `i % 8` for the leading `len - len % 8` components — the
+/// first of them by assignment, as `0 + s` is `s` for every square — the
+/// accumulators combine by the fixed tree, then the tail is added in order.
+#[inline(always)]
+fn block_l2(x: &[f32], block: &[f32]) -> [f32; LANES] {
+    let body = x.len() - x.len() % LANES;
+    let square = |i: usize, l: usize| {
+        let d = x[i] - block[i * LANES + l];
+        d * d
+    };
+    let mut sum = [0.0f32; LANES];
+    if body > 0 {
+        let mut acc = [[0.0f32; LANES]; LANES];
+        for (j, acc) in acc.iter_mut().enumerate() {
+            for (l, a) in acc.iter_mut().enumerate() {
+                *a = square(j, l);
+            }
+        }
+        for i in (LANES..body).step_by(LANES) {
+            for (j, acc) in acc.iter_mut().enumerate() {
+                for (l, a) in acc.iter_mut().enumerate() {
+                    *a += square(i + j, l);
+                }
+            }
+        }
+        for (l, s) in sum.iter_mut().enumerate() {
+            *s = reduce_lanes(std::array::from_fn(|j| acc[j][l]));
+        }
+    }
+    for i in body..x.len() {
+        for (l, s) in sum.iter_mut().enumerate() {
+            *s += square(i, l);
+        }
+    }
+    sum
+}
+
+/// Per lane, the first minimum under strict `<` of [`block_l2`] over the
+/// whole blocks of `blocks`, and the block it was first seen in.
+fn block_lane_minima(tier: SimdTier, x: &[f32], blocks: &[f32]) -> ([f32; LANES], [u32; LANES]) {
+    #[cfg(target_arch = "x86_64")]
+    if tier == SimdTier::Avx2 && crate::dispatch::avx2_available() {
+        // SAFETY: AVX2 was just detected; `blocks` holds whole blocks of
+        // `x.len()`-dimensional rows by `RowBlocks`' construction, and the
+        // caller asserted `x.len() == rows.dim > 0`.
+        return unsafe { x86::block_lane_minima(x, blocks) };
+    }
+    let _ = tier;
+    let mut lane_min = [f32::INFINITY; LANES];
+    let mut lane_block = [0u32; LANES];
+    for (b, block) in blocks.chunks_exact(LANES * x.len()).enumerate() {
+        let d = block_l2(x, block);
+        for l in 0..LANES {
+            if d[l] < lane_min[l] {
+                lane_min[l] = d[l];
+                lane_block[l] = b as u32;
+            }
+        }
+    }
+    (lane_min, lane_block)
+}
+
+/// [`block_l2`] for every whole block of `blocks`, eight outputs a block.
+fn block_sweep(tier: SimdTier, x: &[f32], blocks: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(blocks.len(), out.len() * x.len());
+    #[cfg(target_arch = "x86_64")]
+    if tier == SimdTier::Avx2 && crate::dispatch::avx2_available() {
+        // SAFETY: AVX2 was just detected, and `out` has one slot per row of
+        // the whole blocks of `blocks` (`l2_blocks` splits it at
+        // `blocks.len() / dim`, a multiple of 8).
+        unsafe { x86::block_sweep(x, blocks, out) };
+        return;
+    }
+    let _ = tier;
+    for (o, block) in out
+        .chunks_exact_mut(LANES)
+        .zip(blocks.chunks_exact(LANES * x.len()))
+    {
+        o.copy_from_slice(&block_l2(x, block));
     }
 }
 
@@ -347,6 +544,106 @@ mod x86 {
                 acc += diff * diff;
             }
             *o = acc;
+        }
+    }
+
+    /// `(x[i] - block row l, component i)²` for the eight rows `l`.
+    ///
+    /// # Safety
+    /// Requires AVX2, `x` readable at `i` and `block` at `8i..8i + 8`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn square(x: *const f32, block: *const f32, i: usize) -> __m256 {
+        let d = _mm256_sub_ps(
+            _mm256_set1_ps(*x.add(i)),
+            _mm256_loadu_ps(block.add(i * LANES)),
+        );
+        _mm256_mul_ps(d, d)
+    }
+
+    /// [`super::block_l2`] on vector registers: one accumulator register per
+    /// lane position `i % 8`, each holding the eight rows.
+    ///
+    /// # Safety
+    /// Requires AVX2, `dim` readable floats at `x` and `8 * dim` at `block`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn block_l2(x: *const f32, block: *const f32, dim: usize) -> __m256 {
+        let body = dim - dim % LANES;
+        let mut sum = _mm256_setzero_ps();
+        if body > 0 {
+            let mut s = [_mm256_setzero_ps(); LANES];
+            for (j, s) in s.iter_mut().enumerate() {
+                *s = square(x, block, j);
+            }
+            let mut i = LANES;
+            while i < body {
+                for (j, s) in s.iter_mut().enumerate() {
+                    *s = _mm256_add_ps(*s, square(x, block, i + j));
+                }
+                i += LANES;
+            }
+            sum = _mm256_add_ps(
+                _mm256_add_ps(_mm256_add_ps(s[0], s[4]), _mm256_add_ps(s[2], s[6])),
+                _mm256_add_ps(_mm256_add_ps(s[1], s[5]), _mm256_add_ps(s[3], s[7])),
+            );
+        }
+        for i in body..dim {
+            sum = _mm256_add_ps(sum, square(x, block, i));
+        }
+        sum
+    }
+
+    /// # Safety
+    /// Requires AVX2 and `blocks.len()` a multiple of `8 * x.len() > 0`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn block_lane_minima(
+        x: &[f32],
+        blocks: &[f32],
+    ) -> ([f32; LANES], [u32; LANES]) {
+        // A constant 8 (PQ sub-spaces) lets the compiler hoist the eight
+        // component broadcasts out of the block loop.
+        if x.len() == LANES {
+            lane_minima(x, blocks, LANES)
+        } else {
+            lane_minima(x, blocks, x.len())
+        }
+    }
+
+    /// [`block_lane_minima`] at dimension `dim`.
+    ///
+    /// # Safety
+    /// As [`block_lane_minima`], with `dim == x.len()`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn lane_minima(x: &[f32], blocks: &[f32], dim: usize) -> ([f32; LANES], [u32; LANES]) {
+        let mut min = _mm256_set1_ps(f32::INFINITY);
+        let mut at = _mm256_setzero_ps();
+        for b in 0..blocks.len() / (LANES * dim) {
+            let d = block_l2(x.as_ptr(), blocks.as_ptr().add(b * LANES * dim), dim);
+            // Ordered `<`: false on NaN, so NaN is skipped and ties keep the
+            // earlier block.
+            let lt = _mm256_cmp_ps::<_CMP_LT_OQ>(d, min);
+            min = _mm256_blendv_ps(min, d, lt);
+            let block = _mm256_castsi256_ps(_mm256_set1_epi32(b as i32));
+            at = _mm256_blendv_ps(at, block, lt);
+        }
+        let mut lane_min = [0.0f32; LANES];
+        let mut lane_block = [0u32; LANES];
+        _mm256_storeu_ps(lane_min.as_mut_ptr(), min);
+        _mm256_storeu_si256(lane_block.as_mut_ptr().cast(), _mm256_castps_si256(at));
+        (lane_min, lane_block)
+    }
+
+    /// # Safety
+    /// Requires AVX2 and `blocks.len() == out.len() * x.len()`, `out.len()`
+    /// a multiple of 8.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn block_sweep(x: &[f32], blocks: &[f32], out: &mut [f32]) {
+        let dim = x.len();
+        for b in 0..out.len() / LANES {
+            let d = block_l2(x.as_ptr(), blocks.as_ptr().add(b * LANES * dim), dim);
+            _mm256_storeu_ps(out.as_mut_ptr().add(b * LANES), d);
         }
     }
 }

@@ -4,6 +4,9 @@
 //!   without AVX2 the AVX2 tier demotes to portable and the comparison is
 //!   trivially true; the forced-portable CI leg covers the other direction);
 //! * the row kernel follows the documented canonical reduction order;
+//! * the block kernel (rows re-laid as [`RowBlocks`]) returns the row
+//!   kernel's argmin and distances bitwise, ties and non-finite values
+//!   included;
 //! * lookup tables and PQ codes equal a plain single-accumulator reference
 //!   bitwise, so vectorising them changed no ADC distance and no code;
 //! * every kernel stays within 1e-5 relative of an f64 reference;
@@ -11,7 +14,7 @@
 
 use proptest::prelude::*;
 
-use fanns_quantize::distance::{all_l2, argmin_l2, l2_sq, SimdTier};
+use fanns_quantize::distance::{all_l2, argmin_l2, l2_sq, RowBlocks, SimdTier};
 use fanns_quantize::pq::{DistanceTable, ProductQuantizer};
 
 const TIERS: [SimdTier; 2] = [SimdTier::Portable, SimdTier::Avx2];
@@ -156,6 +159,154 @@ proptest! {
         seed in 1u64..u64::MAX,
     ) {
         check_rows(dim, rows, seed);
+    }
+}
+
+/// `l2_blocks` subtracts in the other operand order from `l2_sq(row, v)`.
+/// Squares of `a - b` and `b - a` are equal in IEEE f32, but when both
+/// operands are NaN the payload of the result follows the operand order,
+/// so NaN results are compared as NaN.
+fn same_distance(got: f32, want: f32) -> bool {
+    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
+}
+
+/// Block-kernel checks for one query against one row set: the argmin
+/// equals the row kernel's `argmin_l2` and the sweep equals per-row
+/// `l2_sq`, bitwise, on both tiers.
+fn check_blocks(v: &[f32], rows: &[f32], dim: usize, what: &str) {
+    let blocks = RowBlocks::new(rows, dim);
+    assert_eq!(blocks.len(), rows.len() / dim);
+    for tier in TIERS {
+        let (want_at, want_d) = tier.argmin_l2(v, rows, dim);
+        let (at, d) = tier.argmin_l2_blocks(v, &blocks);
+        assert_eq!(
+            (at, d.to_bits()),
+            (want_at, want_d.to_bits()),
+            "{tier:?} argmin, {what}, dim {dim}, k {}",
+            blocks.len()
+        );
+        let mut out = vec![0.0f32; blocks.len()];
+        tier.l2_blocks(v, &blocks, &mut out);
+        for (r, row) in rows.chunks_exact(dim).enumerate() {
+            let want = tier.l2_sq(row, v);
+            assert!(
+                same_distance(out[r], want),
+                "{tier:?} sweep row {r}, {what}, dim {dim}: {} vs {want}",
+                out[r]
+            );
+        }
+    }
+}
+
+/// Random rows with exact duplicates planted across blocks, inside one
+/// block and in the tail, queried by a random vector and by the duplicated
+/// rows themselves (distance-0 ties the argmin must break low).
+fn check_block_shape(dim: usize, k: usize, seed: u64) {
+    let mut stream = Stream::new(seed);
+    let mut rows = stream.vec(k * dim);
+    let mut copy_row = |from: usize, to: usize| {
+        if from < k && to < k && from != to {
+            rows.copy_within(from * dim..(from + 1) * dim, to * dim);
+        }
+    };
+    // Same lane in the next block, another lane of the next block, and the
+    // last row (the tail when k % 8 != 0).
+    copy_row(3, 11);
+    copy_row(3, 12);
+    copy_row(k / 2, k - 1);
+    copy_row(1, 2);
+    let v = stream.vec(dim);
+    check_blocks(&v, &rows, dim, "random query");
+    for r in [0, 3, k / 2, k - 1].into_iter().filter(|&r| r < k) {
+        let v = rows[r * dim..(r + 1) * dim].to_vec();
+        check_blocks(&v, &rows, dim, "query is a row");
+    }
+}
+
+#[test]
+fn block_kernel_equals_the_row_kernel_for_every_small_shape() {
+    for dim in 1usize..=40 {
+        for k in 1usize..=70 {
+            check_block_shape(dim, k, (dim * 1000 + k) as u64);
+        }
+    }
+    // The coarse quantiser's shape: dim 128, more rows than a block.
+    check_block_shape(128, 256, 1);
+    check_block_shape(128, 259, 2);
+}
+
+#[test]
+fn block_kernel_handles_signed_zeros_and_non_finite_components() {
+    let inf = f32::INFINITY;
+    let nan = f32::NAN;
+    for dim in [1usize, 7, 8, 9, 16, 19] {
+        for k in [1usize, 5, 8, 13, 24, 27] {
+            let mut stream = Stream::new((dim * 100 + k) as u64);
+            let clean = stream.vec(k * dim);
+            let v = stream.vec(dim);
+            for at in [0, dim / 2, dim - 1] {
+                // -0.0 against +0.0: the difference is zero either way.
+                let mut rows = clean.clone();
+                let mut zero_v = v.clone();
+                zero_v[at] = -0.0;
+                for row in rows.chunks_exact_mut(dim) {
+                    row[at] = 0.0;
+                }
+                check_blocks(&zero_v, &rows, dim, "signed zeros");
+
+                for poison in [nan, inf, -inf] {
+                    // A poisoned query: every distance is NaN or +inf, so
+                    // nothing is below +inf and the argmin is (0, +inf).
+                    let mut bad_v = v.clone();
+                    bad_v[at] = poison;
+                    check_blocks(&bad_v, &clean, dim, "poisoned query");
+                    let (got, d) =
+                        SimdTier::Avx2.argmin_l2_blocks(&bad_v, &RowBlocks::new(&clean, dim));
+                    assert_eq!((got, d), (0, inf));
+
+                    // Poisoned rows in a block lane and in the tail: those
+                    // rows are skipped, the others still compete.
+                    let mut rows = clean.clone();
+                    for r in [k / 3, k - 1] {
+                        rows[r * dim + at] = poison;
+                    }
+                    check_blocks(&v, &rows, dim, "poisoned rows");
+                    // inf - inf: a NaN distance inside an otherwise
+                    // infinite field.
+                    let mut inf_v = v.clone();
+                    inf_v[at] = poison;
+                    check_blocks(&inf_v, &rows, dim, "poisoned query and rows");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn block_kernel_all_nan_row_returns_the_first_index_at_infinity() {
+    for dim in [1usize, 8, 12] {
+        for k in [1usize, 8, 20] {
+            let rows = vec![f32::NAN; k * dim];
+            let v = vec![0.5f32; dim];
+            check_blocks(&v, &rows, dim, "all NaN");
+            for tier in TIERS {
+                let (at, d) = tier.argmin_l2_blocks(&v, &RowBlocks::new(&rows, dim));
+                assert_eq!((at, d), (0, f32::INFINITY));
+            }
+        }
+    }
+}
+
+proptest! {
+    /// The block kernel equals the row kernel for any dimension and row
+    /// count around the 8-row blocking.
+    #[test]
+    fn block_kernel_equals_the_row_kernel(
+        dim in 1usize..130,
+        k in 1usize..80,
+        seed in 1u64..u64::MAX,
+    ) {
+        check_block_shape(dim, k, seed);
     }
 }
 
